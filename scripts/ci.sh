@@ -139,17 +139,24 @@ python3 scripts/check_sweep.py "$sweep4" --expect-rows 16 \
 # Access-path smoke: the cycle-identity golden (simulated outputs are
 # byte-identical across hot-path changes; also run under ctest, pinned
 # here explicitly because the AccessPipeline depends on it) plus one
-# host-perf pass at smoke scale through the schema checker. Speedup
-# gating only applies at the baseline scale, so CI checks schema, not
-# throughput.
-echo "=== cycle-identity golden + host-perf smoke ==="
+# 1-second perfbench pass per workload. perfbench checks every job's
+# simulated fingerprint against perfbench/golden/ at its default seed,
+# so a hot-path change that alters any simulated number fails here,
+# in-tree. CI checks correctness only; host speed is judged by
+# same-host A/B runs, never by a gate.
+echo "=== cycle-identity golden + perfbench correctness smoke ==="
 ./build/tests/integration_cycle_identity_test
-hostperf="$(mktemp -t tmi_hostperf.XXXXXX.json)"
-trap 'rm -f "$trace_out" "$sweep1" "$sweep2" "$chaos1" "$chaos4" \
-    "$hostperf"' EXIT
-TMI_BENCH_SCALE=1 TMI_HOSTPERF_REPS=1 \
-    ./build/bench/host_perf --out "$hostperf"
-python3 scripts/check_hostperf.py "$hostperf" --expect-cells 11
+for workload in fs-batch nofs-batch server-feeds; do
+    python3 perfbench/run.py --workload "$workload" --seconds 1 \
+        | tail -n 1 | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+if r["correct"] is not True or r["failed"] != 0:
+    sys.exit("perfbench %s: correct=%s failed=%s"
+             % (sys.argv[1], r["correct"], r["failed"]))
+print("perfbench %s: correct, %d jobs" % (sys.argv[1], r["attempted"]))
+' "$workload"
+done
 
 # Server-family smoke: the feed-handler workloads through the
 # family:server spec expansion with --param knobs must produce a
@@ -162,7 +169,7 @@ server1="$(mktemp -t tmi_server1.XXXXXX.csv)"
 server4="$(mktemp -t tmi_server4.XXXXXX.csv)"
 param_err="$(mktemp -t tmi_paramerr.XXXXXX.txt)"
 trap 'rm -f "$trace_out" "$sweep1" "$sweep2" "$chaos1" "$chaos4" \
-    "$hostperf" "$server1" "$server4" "$param_err"' EXIT
+    "$server1" "$server4" "$param_err"' EXIT
 server_args=(--workloads family:server
     --treatments pthreads,tmi-protect --scales 1
     --param requests=96 --param arrival_gap=300 --no-progress)
@@ -185,6 +192,15 @@ rc=0
 grep -q "bogus_knob" "$param_err"
 grep -q "arrival_gap" "$param_err"
 
+# More threads than the cache simulator has cores for (32) is a
+# config error (exit 2) caught before any job runs, not an abort.
+rc=0
+./build/examples/tmi-sweep --workloads feed-spsc \
+    --treatments pthreads --threads 33 --no-progress \
+    2> "$param_err" || rc=$?
+[ "$rc" -eq 2 ]
+grep -q "run.threads" "$param_err"
+
 # Static-repair smoke: the fixed-seed profile phase must synthesize
 # exactly the checked-in golden layout plan (profile -> plan is
 # deterministic), and a huron-static sweep -- both the self-profiling
@@ -198,7 +214,7 @@ huron1="$(mktemp -t tmi_huron1.XXXXXX.csv)"
 huron4="$(mktemp -t tmi_huron4.XXXXXX.csv)"
 replay1="$(mktemp -t tmi_replay1.XXXXXX.csv)"
 trap 'rm -f "$trace_out" "$sweep1" "$sweep2" "$chaos1" "$chaos4" \
-    "$hostperf" "$server1" "$server4" "$param_err" "$plan_out" \
+    "$server1" "$server4" "$param_err" "$plan_out" \
     "$huron1" "$huron4" "$replay1"' EXIT
 ./build/examples/experiment_cli --workload histogramfs \
     --treatment huron-static --scale 4 --interval 500000 \
@@ -246,7 +262,7 @@ echo "=== server-family chaos campaign smoke ==="
 schaos1="$(mktemp -t tmi_schaos1.XXXXXX.csv)"
 schaos4="$(mktemp -t tmi_schaos4.XXXXXX.csv)"
 trap 'rm -f "$trace_out" "$sweep1" "$sweep2" "$chaos1" "$chaos4" \
-    "$hostperf" "$server1" "$server4" "$param_err" "$plan_out" \
+    "$server1" "$server4" "$param_err" "$plan_out" \
     "$huron1" "$huron4" "$replay1" "$schaos1" "$schaos4"' EXIT
 schaos_args=(--workloads feed-spsc,feed-spmc
     --treatments tmi-protect,laser --schedules 4 --campaign-seed 2026
@@ -273,7 +289,7 @@ htm1="$(mktemp -t tmi_htm1.XXXXXX.csv)"
 htm4="$(mktemp -t tmi_htm4.XXXXXX.csv)"
 place1="$(mktemp -t tmi_place1.XXXXXX.csv)"
 trap 'rm -f "$trace_out" "$sweep1" "$sweep2" "$chaos1" "$chaos4" \
-    "$hostperf" "$server1" "$server4" "$param_err" "$plan_out" \
+    "$server1" "$server4" "$param_err" "$plan_out" \
     "$huron1" "$huron4" "$replay1" "$schaos1" "$schaos4" \
     "$htm1" "$htm4" "$place1"' EXIT
 htm_args=(--workloads spinlockpool,shptr-lock,shptr-relaxed
@@ -323,7 +339,7 @@ echo "=== htm abort-storm chaos smoke + livelock reproducer ==="
 hchaos1="$(mktemp -t tmi_hchaos1.XXXXXX.csv)"
 hchaos4="$(mktemp -t tmi_hchaos4.XXXXXX.csv)"
 trap 'rm -f "$trace_out" "$sweep1" "$sweep2" "$chaos1" "$chaos4" \
-    "$hostperf" "$server1" "$server4" "$param_err" "$plan_out" \
+    "$server1" "$server4" "$param_err" "$plan_out" \
     "$huron1" "$huron4" "$replay1" "$schaos1" "$schaos4" \
     "$htm1" "$htm4" "$place1" "$hchaos1" "$hchaos4"' EXIT
 hchaos_args=(--workloads spinlockpool --treatments htm-elide

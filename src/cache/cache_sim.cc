@@ -1,23 +1,48 @@
 #include "cache_sim.hh"
 
+#include <unordered_map>
+
 namespace tmi
 {
 
 void
-CacheSim::TagArray::init(unsigned s, unsigned w)
+validateConfig(const CacheConfig &config,
+               std::vector<ConfigError> &errors,
+               const std::string &prefix)
 {
-    sets = s;
+    auto power_of_two = [](unsigned n) {
+        return n != 0 && (n & (n - 1)) == 0;
+    };
+    if (!power_of_two(config.l1Sets)) {
+        errors.push_back({prefix + ".l1Sets",
+                          "must be a non-zero power of two: the set "
+                          "index is the line address's low bits"});
+    }
+    if (!power_of_two(config.llcSets)) {
+        errors.push_back({prefix + ".llcSets",
+                          "must be a non-zero power of two: the set "
+                          "index is the line address's low bits"});
+    }
+    if (config.l1Ways == 0)
+        errors.push_back({prefix + ".l1Ways", "must be >= 1"});
+    if (config.llcWays == 0)
+        errors.push_back({prefix + ".llcWays", "must be >= 1"});
+}
+
+void
+CacheSim::TagArray::init(unsigned sets, unsigned w)
+{
+    setMask = sets - 1;
     ways = w;
-    lines.assign(static_cast<std::size_t>(s) * w, Line{});
+    lines.assign(static_cast<std::size_t>(sets) * w, Line{});
 }
 
 CacheSim::Line *
 CacheSim::TagArray::find(Addr line_addr)
 {
-    unsigned set = setIndex(line_addr);
-    Line *base = &lines[static_cast<std::size_t>(set) * ways];
+    Line *base = set(line_addr);
     for (unsigned w = 0; w < ways; ++w) {
-        if (base[w].state != Mesi::Invalid && base[w].tag == line_addr)
+        if (base[w].tag == line_addr && base[w].state != Mesi::Invalid)
             return &base[w];
     }
     return nullptr;
@@ -26,8 +51,7 @@ CacheSim::TagArray::find(Addr line_addr)
 CacheSim::Line &
 CacheSim::TagArray::victim(Addr line_addr)
 {
-    unsigned set = setIndex(line_addr);
-    Line *base = &lines[static_cast<std::size_t>(set) * ways];
+    Line *base = set(line_addr);
     Line *lru = &base[0];
     for (unsigned w = 0; w < ways; ++w) {
         if (base[w].state == Mesi::Invalid)
@@ -40,50 +64,83 @@ CacheSim::TagArray::victim(Addr line_addr)
 
 CacheSim::CacheSim(const CacheConfig &config) : _config(config)
 {
-    TMI_ASSERT(config.cores >= 1 && config.cores <= 32);
+    TMI_ASSERT(config.cores >= 1 && config.cores <= maxCacheCores);
+    std::vector<ConfigError> errors;
+    validateConfig(config, errors);
+    fatalIfConfigErrors(errors);
     _l1.resize(config.cores);
     for (auto &l1 : _l1)
         l1.init(config.l1Sets, config.l1Ways);
     _llc.init(config.llcSets, config.llcWays);
 }
 
-void
-CacheSim::dropFromCore(CoreId core, Addr line_addr)
+CacheSim::Snoop
+CacheSim::snoop(CoreId requester, Addr line_addr)
 {
-    Line *line = _l1[core].find(line_addr);
-    if (line) {
-        if (line->state == Mesi::Modified ||
-            line->state == Mesi::Owned) {
-            ++_statWritebacks;
-            // Dirty data returns to the LLC.
-            llcLookupFill(line_addr);
-        }
-        line->state = Mesi::Invalid;
+    Snoop s;
+    for (CoreId c = 0; c < _config.cores; ++c) {
+        Line *remote = c == requester ? nullptr : _l1[c].find(line_addr);
+        if (!remote)
+            continue;
+        s.others |= std::uint32_t{1} << c;
+        if (remote->state != Mesi::Shared)
+            s.owner = remote;
+        // SWMR: an M or E copy is the only copy; stop looking.
+        if (remote->state == Mesi::Modified ||
+            remote->state == Mesi::Exclusive)
+            break;
     }
-    auto it = _dir.find(line_addr);
-    if (it != _dir.end()) {
-        it->second.sharers &= ~(std::uint32_t{1} << core);
-        if (it->second.owner == core)
-            it->second.ownerState = Mesi::Invalid;
-        if (it->second.sharers == 0)
-            _dir.erase(it);
+    return s;
+}
+
+void
+CacheSim::evict(Line &line)
+{
+    if (line.state == Mesi::Modified || line.state == Mesi::Owned) {
+        // Dirty data returns to the LLC.
+        ++_statWritebacks;
+        llcLookupFill(line.tag);
+    }
+    line.state = Mesi::Invalid;
+}
+
+void
+CacheSim::invalidateOthers(std::uint32_t others, Addr line_addr)
+{
+    for (CoreId c = 0; others != 0; ++c, others >>= 1) {
+        if (others & 1) {
+            ++_statInvalidations;
+            evict(*_l1[c].find(line_addr));
+        }
     }
 }
 
 bool
 CacheSim::llcLookupFill(Addr line_addr)
 {
-    Line *hit = _llc.find(line_addr);
-    if (hit) {
-        hit->lastUse = _useClock;
-        return true;
+    // One pass finds the hit or the victim: the first invalid way,
+    // else the least recently used. LLC ways fill in order and are
+    // never invalidated, so no valid way follows an invalid one.
+    Line *base = _llc.set(line_addr);
+    Line *v = base;
+    for (unsigned w = 0; w < _llc.ways; ++w) {
+        Line &way = base[w];
+        if (way.state == Mesi::Invalid) {
+            v = &way;
+            break;
+        }
+        if (way.tag == line_addr) {
+            way.lastUse = _useClock;
+            return true;
+        }
+        if (way.lastUse < v->lastUse)
+            v = &way;
     }
-    Line &v = _llc.victim(line_addr);
     // LLC evictions have no side effects: data always lives in the
     // simulated physical memory, and the LLC is non-inclusive.
-    v.tag = line_addr;
-    v.state = Mesi::Shared;
-    v.lastUse = _useClock;
+    v->tag = line_addr;
+    v->state = Mesi::Shared;
+    v->lastUse = _useClock;
     return false;
 }
 
@@ -91,32 +148,10 @@ void
 CacheSim::fillLine(CoreId core, Addr line_addr, Mesi state)
 {
     Line &v = _l1[core].victim(line_addr);
-    if (v.state != Mesi::Invalid) {
-        // Evict the victim: update the directory, write back if dirty.
-        Addr victim_addr = v.tag;
-        if (v.state == Mesi::Modified || v.state == Mesi::Owned) {
-            ++_statWritebacks;
-            llcLookupFill(victim_addr);
-        }
-        auto it = _dir.find(victim_addr);
-        if (it != _dir.end()) {
-            it->second.sharers &= ~(std::uint32_t{1} << core);
-            if (it->second.owner == core)
-                it->second.ownerState = Mesi::Invalid;
-            if (it->second.sharers == 0)
-                _dir.erase(it);
-        }
-    }
+    evict(v);
     v.tag = line_addr;
     v.state = state;
     v.lastUse = _useClock;
-
-    DirEntry &entry = _dir[line_addr];
-    entry.sharers |= std::uint32_t{1} << core;
-    if (state == Mesi::Modified || state == Mesi::Exclusive) {
-        entry.owner = core;
-        entry.ownerState = state;
-    }
 }
 
 AccessResult
@@ -131,87 +166,36 @@ CacheSim::access(const AccessContext &ctx)
     ++_useClock;
 
     Addr line_addr = lineNumber(ctx.paddr);
-    TagArray &l1 = _l1[ctx.core];
-    Line *line = l1.find(line_addr);
+    Line *line = _l1[ctx.core].find(line_addr);
 
     if (line) {
         line->lastUse = _useClock;
-        if (!ctx.isWrite || line->state == Mesi::Modified) {
-            res.l1Hit = true;
-            res.latency = _config.l1HitLatency;
-            ++_statL1Hits;
-            return res;
-        }
-        if (line->state == Mesi::Exclusive) {
-            // Silent E->M upgrade.
-            line->state = Mesi::Modified;
-            DirEntry &entry = _dir[line_addr];
-            entry.owner = ctx.core;
-            entry.ownerState = Mesi::Modified;
-            res.l1Hit = true;
+        res.l1Hit = true;
+        if (!ctx.isWrite || line->state == Mesi::Modified ||
+            line->state == Mesi::Exclusive) {
+            // Hit; a write to Exclusive upgrades to M silently.
+            if (ctx.isWrite)
+                line->state = Mesi::Modified;
             res.latency = _config.l1HitLatency;
             ++_statL1Hits;
             return res;
         }
         // S/O->M upgrade: invalidate every other sharer. A remote
-        // Owned copy is dirty and must be written back first.
+        // Owned copy is dirty and is written back first.
         ++_statUpgrades;
-        auto it = _dir.find(line_addr);
-        if (it != _dir.end()) {
-            std::uint32_t others =
-                it->second.sharers & ~(std::uint32_t{1} << ctx.core);
-            for (CoreId c = 0; c < _config.cores; ++c) {
-                if (others & (std::uint32_t{1} << c)) {
-                    ++_statInvalidations;
-                    Line *remote = _l1[c].find(line_addr);
-                    if (remote) {
-                        if (remote->state == Mesi::Owned) {
-                            ++_statWritebacks;
-                            llcLookupFill(line_addr);
-                        }
-                        remote->state = Mesi::Invalid;
-                    }
-                }
-            }
-            it->second.sharers = std::uint32_t{1} << ctx.core;
-            it->second.owner = ctx.core;
-            it->second.ownerState = Mesi::Modified;
-        }
+        invalidateOthers(snoop(ctx.core, line_addr).others, line_addr);
         line->state = Mesi::Modified;
-        res.l1Hit = true;
         res.latency = _config.upgradeLatency;
         return res;
     }
 
-    // L1 miss: snoop the other private caches via the directory.
-    auto it = _dir.find(line_addr);
-    bool remote_modified = false;
-    bool remote_owned = false;
-    bool remote_clean = false;
-    CoreId owner = 0;
+    // L1 miss: snoop the other private caches. A write invalidates
+    // every remote copy below and takes the line Modified.
+    Snoop s = snoop(ctx.core, line_addr);
+    Mesi owner_state = s.owner ? s.owner->state : Mesi::Invalid;
+    Mesi fill = ctx.isWrite ? Mesi::Modified : Mesi::Shared;
 
-    if (it != _dir.end() && it->second.sharers != 0) {
-        std::uint32_t others =
-            it->second.sharers & ~(std::uint32_t{1} << ctx.core);
-        if (others != 0) {
-            bool owner_remote =
-                it->second.owner != ctx.core &&
-                (others & (std::uint32_t{1} << it->second.owner));
-            if (it->second.ownerState == Mesi::Modified &&
-                owner_remote) {
-                remote_modified = true;
-                owner = it->second.owner;
-            } else if (it->second.ownerState == Mesi::Owned &&
-                       owner_remote) {
-                remote_owned = true;
-                owner = it->second.owner;
-            } else {
-                remote_clean = true;
-            }
-        }
-    }
-
-    if (remote_modified) {
+    if (owner_state == Mesi::Modified) {
         // HITM: dirty hit in a remote private cache.
         ++_statHitm;
         if (ctx.isWrite)
@@ -220,100 +204,45 @@ CacheSim::access(const AccessContext &ctx)
         res.latency = _config.hitmLatency;
         if (_hitmCb)
             res.latency += _hitmCb(ctx);
-
-        if (ctx.isWrite) {
-            // RFO: the owner is invalidated, we take Modified.
+        // A MOESI read leaves the dirty data with the owner, now
+        // Owned; otherwise it is written back first (a store's RFO
+        // then writes back the invalidated copy once more).
+        if (ctx.isWrite || _config.protocol == Protocol::Mesi) {
             ++_statWritebacks;
             llcLookupFill(line_addr);
-            dropFromCore(owner, line_addr);
-            ++_statInvalidations;
-            fillLine(ctx.core, line_addr, Mesi::Modified);
-        } else if (_config.protocol == Protocol::Moesi) {
-            // MOESI read: the owner keeps the dirty data in Owned
-            // state; no writeback happens at all.
-            Line *remote = _l1[owner].find(line_addr);
-            if (remote)
-                remote->state = Mesi::Owned;
-            DirEntry &entry = _dir[line_addr];
-            entry.ownerState = Mesi::Owned;
-            fillLine(ctx.core, line_addr, Mesi::Shared);
-        } else {
-            // MESI read: writeback, the owner downgrades to Shared.
-            ++_statWritebacks;
-            llcLookupFill(line_addr);
-            Line *remote = _l1[owner].find(line_addr);
-            if (remote)
-                remote->state = Mesi::Shared;
-            DirEntry &entry = _dir[line_addr];
-            entry.ownerState = Mesi::Invalid;
-            fillLine(ctx.core, line_addr, Mesi::Shared);
         }
-        return res;
-    }
-
-    if (remote_owned) {
+        if (!ctx.isWrite) {
+            s.owner->state = _config.protocol == Protocol::Moesi
+                                 ? Mesi::Owned
+                                 : Mesi::Shared;
+        }
+    } else if (owner_state == Mesi::Owned) {
         // MOESI dirty forward: served from the Owned copy. The line
         // is not Modified, so Intel's HITM event does NOT fire --
         // dirty sharing is cheaper and *quieter* under MOESI.
         ++_statOwnedForwards;
         res.latency = _config.ownedForwardLatency;
-        if (ctx.isWrite) {
-            std::uint32_t others =
-                it->second.sharers & ~(std::uint32_t{1} << ctx.core);
-            for (CoreId c = 0; c < _config.cores; ++c) {
-                if (others & (std::uint32_t{1} << c)) {
-                    ++_statInvalidations;
-                    dropFromCore(c, line_addr);
-                }
-            }
-            fillLine(ctx.core, line_addr, Mesi::Modified);
-        } else {
-            fillLine(ctx.core, line_addr, Mesi::Shared);
-        }
-        return res;
-    }
-
-    if (remote_clean) {
+    } else if (s.others != 0) {
+        // Clean remote copies; a read downgrades an Exclusive one.
         res.latency = _config.cleanForwardLatency;
-        if (ctx.isWrite) {
-            // Invalidate all remote clean copies, take Modified.
-            std::uint32_t others =
-                it->second.sharers & ~(std::uint32_t{1} << ctx.core);
-            for (CoreId c = 0; c < _config.cores; ++c) {
-                if (others & (std::uint32_t{1} << c)) {
-                    ++_statInvalidations;
-                    Line *remote = _l1[c].find(line_addr);
-                    if (remote)
-                        remote->state = Mesi::Invalid;
-                }
-            }
-            it->second.sharers &= std::uint32_t{1} << ctx.core;
-            fillLine(ctx.core, line_addr, Mesi::Modified);
+        if (!ctx.isWrite && s.owner)
+            s.owner->state = Mesi::Shared;
+    } else {
+        // No private copy anywhere: LLC, then memory.
+        if (llcLookupFill(line_addr)) {
+            res.latency = _config.llcHitLatency;
+            ++_statLlcHits;
         } else {
-            // Downgrade a remote Exclusive copy if there is one.
-            if (it->second.ownerState == Mesi::Exclusive) {
-                Line *remote =
-                    _l1[it->second.owner].find(line_addr);
-                if (remote && remote->state == Mesi::Exclusive)
-                    remote->state = Mesi::Shared;
-                it->second.ownerState = Mesi::Invalid;
-            }
-            fillLine(ctx.core, line_addr, Mesi::Shared);
+            res.latency = _config.dramLatency;
+            ++_statDramFills;
         }
-        return res;
+        if (!ctx.isWrite)
+            fill = Mesi::Exclusive;
     }
 
-    // No private copy anywhere: LLC, then memory.
-    bool llc_hit = llcLookupFill(line_addr);
-    if (llc_hit) {
-        res.latency = _config.llcHitLatency;
-        ++_statLlcHits;
-    } else {
-        res.latency = _config.dramLatency;
-        ++_statDramFills;
-    }
-    fillLine(ctx.core, line_addr,
-             ctx.isWrite ? Mesi::Modified : Mesi::Exclusive);
+    if (ctx.isWrite)
+        invalidateOthers(s.others, line_addr);
+    fillLine(ctx.core, line_addr, fill);
     return res;
 }
 
@@ -321,8 +250,10 @@ void
 CacheSim::invalidateLine(Addr paddr)
 {
     Addr line_addr = lineNumber(paddr);
-    for (CoreId c = 0; c < _config.cores; ++c)
-        dropFromCore(c, line_addr);
+    for (TagArray &l1 : _l1) {
+        if (Line *line = l1.find(line_addr))
+            evict(*line);
+    }
 }
 
 void
@@ -338,20 +269,18 @@ bool
 CacheSim::auditCoherence() const
 {
     // Gather every valid private-cache copy per line address.
-    std::unordered_map<Addr, std::vector<std::pair<CoreId, Mesi>>>
-        copies;
-    for (CoreId c = 0; c < _config.cores; ++c) {
-        for (const Line &line : _l1[c].lines) {
+    std::unordered_map<Addr, std::vector<Mesi>> copies;
+    for (const TagArray &l1 : _l1) {
+        for (const Line &line : l1.lines) {
             if (line.state != Mesi::Invalid)
-                copies[line.tag].push_back({c, line.state});
+                copies[line.tag].push_back(line.state);
         }
     }
 
     for (const auto &[line_addr, holders] : copies) {
         unsigned exclusive_holders = 0;
         unsigned owned_holders = 0;
-        for (const auto &[core, state] : holders) {
-            (void)core;
+        for (Mesi state : holders) {
             if (state == Mesi::Modified || state == Mesi::Exclusive)
                 ++exclusive_holders;
             if (state == Mesi::Owned)
@@ -367,22 +296,6 @@ CacheSim::auditCoherence() const
             return false;
         if (owned_holders == 1 && _config.protocol == Protocol::Mesi)
             return false;
-
-        // The directory must cover every cached copy.
-        auto it = _dir.find(line_addr);
-        if (it == _dir.end())
-            return false;
-        for (const auto &[core, state] : holders) {
-            if (!(it->second.sharers & (std::uint32_t{1} << core)))
-                return false;
-            if ((state == Mesi::Modified ||
-                 state == Mesi::Exclusive ||
-                 state == Mesi::Owned) &&
-                (it->second.owner != core ||
-                 it->second.ownerState != state)) {
-                return false;
-            }
-        }
     }
     return true;
 }

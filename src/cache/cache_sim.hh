@@ -4,9 +4,11 @@
  *
  * The simulated machine has one private L1 per core, a shared LLC,
  * and a snooping interconnect enforcing the single-writer multiple-
- * reader invariant. A HITM ("HIT Modified") event fires when a core's
- * request hits a remote private cache holding the line in Modified
- * state -- exactly the coherence condition Intel's PEBS
+ * reader invariant. Coherence state lives only in the private tag
+ * arrays: an L1 miss snoops the same set in every other core's array;
+ * there is no directory. A HITM ("HIT Modified") event fires when a
+ * core's request hits a remote private cache holding the line in
+ * Modified state -- exactly the coherence condition Intel's PEBS
  * MEM_LOAD_UOPS_LLC_HIT_RETIRED.XSNP_HITM event reports, which Tmi's
  * detector consumes (paper section 2.1).
  *
@@ -20,9 +22,10 @@
 #define TMI_CACHE_CACHE_SIM_HH
 
 #include <functional>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
+#include "common/config_error.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -47,11 +50,16 @@ enum class Mesi : std::uint8_t
     Modified,
 };
 
-/** Geometry and latency parameters of the memory hierarchy. */
+/** Most private caches a CacheSim models: a snoop names the cores
+ *  holding a line in a 32-bit mask. */
+constexpr unsigned maxCacheCores = 32;
+
+/** Geometry and latency parameters of the memory hierarchy. Set
+ *  counts are powers of two; see validateConfig(). */
 struct CacheConfig
 {
     Protocol protocol = Protocol::Mesi;
-    unsigned cores = 4;            //!< private-cache count
+    unsigned cores = 4;            //!< private caches, 1..maxCacheCores
     unsigned l1Sets = 64;          //!< 64 sets x 8 ways x 64 B = 32 KB
     unsigned l1Ways = 8;
     unsigned llcSets = 8192;       //!< 8192 x 16 x 64 B = 8 MB
@@ -67,6 +75,13 @@ struct CacheConfig
 
     bool operator==(const CacheConfig &) const = default;
 };
+
+/** Collect CacheConfig geometry violations under @p prefix: set
+ *  counts must be non-zero powers of two and way counts >= 1. The
+ *  core count is the owner's to check (MachineConfig::cores). */
+void validateConfig(const CacheConfig &config,
+                    std::vector<ConfigError> &errors,
+                    const std::string &prefix = "CacheConfig");
 
 /** Everything the memory system needs to know about one access. */
 struct AccessContext
@@ -151,8 +166,9 @@ class CacheSim
     /**
      * Audit the single-writer multiple-reader invariant: no line may
      * be valid in any private cache while another private cache
-     * holds it Modified or Exclusive, and the directory must agree
-     * with the private tag arrays. Intended for property tests.
+     * holds it Modified or Exclusive, at most one cache holds it
+     * Owned, and Owned appears only under MOESI. Intended for
+     * property tests.
      *
      * @retval true if every invariant holds.
      */
@@ -169,39 +185,45 @@ class CacheSim
         std::uint64_t lastUse = 0;
     };
 
-    /** One set-associative tag array. */
+    /** One set-associative tag array; the set count is a power of
+     *  two, so a line's set is its low address bits. */
     struct TagArray
     {
-        unsigned sets = 0;
+        Addr setMask = 0;
         unsigned ways = 0;
         std::vector<Line> lines;
 
-        void init(unsigned s, unsigned w);
+        void init(unsigned sets, unsigned w);
+        Line *
+        set(Addr line_addr)
+        {
+            return &lines[(line_addr & setMask) * ways];
+        }
         Line *find(Addr line_addr);
         /** Victim way for a fill (invalid first, else LRU). */
         Line &victim(Addr line_addr);
-        unsigned setIndex(Addr line_addr) const
-        {
-            return static_cast<unsigned>(line_addr % sets);
-        }
     };
 
-    /** Directory entry summarizing private-cache residency. */
-    struct DirEntry
+    /** What the other private caches hold of one line. */
+    struct Snoop
     {
-        std::uint32_t sharers = 0;  //!< bitmask of cores with the line
-        CoreId owner = 0;           //!< valid if ownerState is M or E
-        Mesi ownerState = Mesi::Invalid;
+        std::uint32_t others = 0; //!< bitmask of cores with a copy
+        Line *owner = nullptr;    //!< the M, E or O copy (at most one)
     };
 
-    void dropFromCore(CoreId core, Addr line_addr);
+    /** Probe every other core's L1 for @p line_addr. */
+    Snoop snoop(CoreId requester, Addr line_addr);
+    /** Invalidate one private copy, writing it back if dirty. */
+    void evict(Line &line);
+    /** Evict @p line_addr from each core in @p others, counting one
+     *  invalidation per copy. */
+    void invalidateOthers(std::uint32_t others, Addr line_addr);
     void fillLine(CoreId core, Addr line_addr, Mesi state);
     bool llcLookupFill(Addr line_addr);
 
     CacheConfig _config;
     std::vector<TagArray> _l1;
     TagArray _llc;
-    std::unordered_map<Addr, DirEntry> _dir;
     HitmCallback _hitmCb;
     std::uint64_t _useClock = 0;
 

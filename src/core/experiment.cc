@@ -190,6 +190,10 @@ validateConfig(const ExperimentConfig &config,
     }
     if (config.threads == 0) {
         errors.push_back({prefix + ".threads", "must be >= 1"});
+    } else if (config.threads > maxCacheCores) {
+        errors.push_back({prefix + ".threads",
+                          "must be <= 32: each thread gets its own "
+                          "core, and the machine has at most 32"});
     }
     if (config.scale == 0) {
         errors.push_back({prefix + ".scale",

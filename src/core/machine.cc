@@ -94,6 +94,10 @@ validateConfig(const MachineConfig &config,
         errors.push_back({prefix + ".cores",
                           "must be >= 1: something has to run the "
                           "threads"});
+    } else if (config.cores > maxCacheCores) {
+        errors.push_back({prefix + ".cores",
+                          "must be <= 32: the cache simulator tracks "
+                          "line holders in a 32-bit core mask"});
     }
     if (config.pageShift < smallPageShift ||
         config.pageShift > hugePageShift) {
@@ -120,13 +124,30 @@ validateConfig(const MachineConfig &config,
                               "probability must be in [0, 1]"});
         }
     }
+    validateConfig(config.cache, errors, prefix + ".cache");
     validateConfig(config.perf, errors, prefix + ".perf");
     obs::validateConfig(config.trace, errors, prefix + ".trace");
 }
 
+namespace
+{
+
+/** @p config, or fatal() listing every error: the members built from
+ *  it (the cache simulator among them) never see an invalid one. */
+const MachineConfig &
+validated(const MachineConfig &config)
+{
+    std::vector<ConfigError> errors;
+    validateConfig(config, errors);
+    fatalIfConfigErrors(errors);
+    return config;
+}
+
+} // namespace
+
 Machine::Machine(const MachineConfig &config)
-    : _config(config), _pipeline(config.cores), _mmu(config.pageShift),
-      _heap("tmi_heap", _mmu.phys()),
+    : _config(validated(config)), _pipeline(config.cores),
+      _mmu(config.pageShift), _heap("tmi_heap", _mmu.phys()),
       _internal("tmi_internal", _mmu.phys()), _heapBrk(heapBase),
       _internalBrk(internalBase), _sched(config.quantum),
       _sync(_sched, config.syncCosts),
@@ -137,10 +158,6 @@ Machine::Machine(const MachineConfig &config)
       }()),
       _perf(config.perf), _faults(config.faultSeed)
 {
-    std::vector<ConfigError> errors;
-    validateConfig(config, errors);
-    fatalIfConfigErrors(errors);
-
     for (unsigned c = 0; c < config.cores; ++c)
         _tlbs.emplace_back(config.tlb, config.pageShift);
 

@@ -169,6 +169,30 @@ TEST(CacheSim, InvalidatePageClearsAllCores)
     EXPECT_TRUE(r2.hitm);
 }
 
+TEST(CacheConfigValidate, NamesEachBadGeometryField)
+{
+    CacheConfig cfg;
+    cfg.l1Sets = 48;   // not a power of two
+    cfg.llcSets = 0;
+    cfg.l1Ways = 0;
+    cfg.llcWays = 0;
+    std::vector<ConfigError> errors;
+    validateConfig(cfg, errors, "cache");
+    ASSERT_EQ(errors.size(), 4u);
+    EXPECT_EQ(errors[0].field, "cache.l1Sets");
+    EXPECT_EQ(errors[1].field, "cache.llcSets");
+    EXPECT_EQ(errors[2].field, "cache.l1Ways");
+    EXPECT_EQ(errors[3].field, "cache.llcWays");
+}
+
+TEST(CacheConfigValidate, ConstructorRejectsBadGeometry)
+{
+    CacheConfig cfg;
+    cfg.llcSets = 6000;
+    EXPECT_EXIT(CacheSim{cfg}, ::testing::ExitedWithCode(1),
+                "llcSets");
+}
+
 TEST(CacheSim, LineSpanAccessAsserts)
 {
     CacheSim cache;

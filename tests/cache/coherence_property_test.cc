@@ -33,7 +33,7 @@ randomCtx(Rng &rng, unsigned cores, unsigned lines)
 
 } // namespace
 
-/** Sweep over RNG seeds: SWMR and directory agreement always hold. */
+/** Sweep over RNG seeds: the SWMR invariants always hold. */
 class CoherenceProperty : public ::testing::TestWithParam<int>
 {
 };

@@ -15,6 +15,20 @@
 
 using namespace tmi;
 
+namespace
+{
+
+bool
+hasField(const std::vector<ConfigError> &errors, const std::string &field)
+{
+    return std::any_of(errors.begin(), errors.end(),
+                       [&field](const ConfigError &e) {
+                           return e.field == field;
+                       });
+}
+
+} // namespace
+
 TEST(ConfigValidate, DefaultTemplatesAreValidOnceWorkloadIsSet)
 {
     Config cfg;
@@ -33,18 +47,12 @@ TEST(ConfigValidate, CollectsEveryErrorWithFieldNames)
     cfg.tmi.analysisInterval = 0;
 
     auto errors = cfg.validate();
-    auto has = [&errors](const std::string &field) {
-        return std::any_of(errors.begin(), errors.end(),
-                           [&field](const ConfigError &e) {
-                               return e.field == field;
-                           });
-    };
-    EXPECT_TRUE(has("run.workload"));
-    EXPECT_TRUE(has("run.threads"));
-    EXPECT_TRUE(has("run.perfPeriod"));
-    EXPECT_TRUE(has("run.watchdog"));
-    EXPECT_TRUE(has("machine.quantum"));
-    EXPECT_TRUE(has("tmi.analysisInterval"));
+    EXPECT_TRUE(hasField(errors, "run.workload"));
+    EXPECT_TRUE(hasField(errors, "run.threads"));
+    EXPECT_TRUE(hasField(errors, "run.perfPeriod"));
+    EXPECT_TRUE(hasField(errors, "run.watchdog"));
+    EXPECT_TRUE(hasField(errors, "machine.quantum"));
+    EXPECT_TRUE(hasField(errors, "tmi.analysisInterval"));
     EXPECT_GE(errors.size(), 6u);
 
     // And the formatted form names every field.
@@ -63,6 +71,53 @@ TEST(ConfigValidate, BadFaultSpecIsNamedPerPoint)
     ASSERT_FALSE(errors.empty());
     EXPECT_NE(errors[0].field.find("mem.clone_fail"),
               std::string::npos);
+}
+
+TEST(ConfigValidate, ThreadsAndCoresCappedAt32)
+{
+    // The cache simulator names a line's holders in a 32-bit mask; a
+    // 33rd core is a configuration error, not a crash.
+    Config cfg;
+    cfg.run.workload = "histogramfs";
+    cfg.run.threads = 32;
+    cfg.machine.cores = 32;
+    EXPECT_TRUE(cfg.validate().empty());
+
+    cfg.run.threads = 33;
+    EXPECT_TRUE(hasField(cfg.validate(), "run.threads"));
+
+    cfg.run.threads = 4;
+    cfg.machine.cores = 33;
+    EXPECT_TRUE(hasField(cfg.validate(), "machine.cores"));
+}
+
+TEST(ConfigValidate, CacheGeometryNeedsPowerOfTwoSetsAndWays)
+{
+    Config cfg;
+    cfg.run.workload = "histogramfs";
+    cfg.machine.cache.l1Sets = 1;
+    cfg.machine.cache.llcSets = 1;
+    cfg.machine.cache.l1Ways = 1;
+    cfg.machine.cache.llcWays = 1;
+    EXPECT_TRUE(cfg.validate().empty());
+
+    for (unsigned sets : {0u, 3u, 48u, 8191u}) {
+        Config bad = cfg;
+        bad.machine.cache.l1Sets = sets;
+        EXPECT_TRUE(hasField(bad.validate(), "machine.cache.l1Sets"))
+            << sets;
+        bad = cfg;
+        bad.machine.cache.llcSets = sets;
+        EXPECT_TRUE(hasField(bad.validate(), "machine.cache.llcSets"))
+            << sets;
+    }
+
+    Config bad = cfg;
+    bad.machine.cache.l1Ways = 0;
+    EXPECT_TRUE(hasField(bad.validate(), "machine.cache.l1Ways"));
+    bad = cfg;
+    bad.machine.cache.llcWays = 0;
+    EXPECT_TRUE(hasField(bad.validate(), "machine.cache.llcWays"));
 }
 
 TEST(Builder, CheckReportsWithoutDying)

@@ -90,6 +90,24 @@ TEST_F(EdgeFixture, MismatchedKindAsserts)
         "assertion");
 }
 
+TEST(MachineConfigCheck, ThirtyThreeCoresIsAConfigErrorNotAnAbort)
+{
+    // Validation runs before any member is built, so the cache
+    // simulator's 32-core limit surfaces as a named config error.
+    MachineConfig mc;
+    mc.cores = 33;
+    EXPECT_EXIT(Machine{mc}, ::testing::ExitedWithCode(1),
+                "MachineConfig.cores");
+}
+
+TEST(MachineConfigCheck, NonPowerOfTwoCacheSetsIsAConfigError)
+{
+    MachineConfig mc;
+    mc.cache.l1Sets = 96;
+    EXPECT_EXIT(Machine{mc}, ::testing::ExitedWithCode(1),
+                "MachineConfig.cache.l1Sets");
+}
+
 TEST_F(EdgeFixture, ProducerConsumerViaCondvar)
 {
     Addr pc_st = defineStore(8);
