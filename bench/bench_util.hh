@@ -88,23 +88,6 @@ falseSharingSet()
     return names;
 }
 
-/** Outcome as a short string for tables. */
-inline const char *
-outcomeStr(const RunResult &res)
-{
-    if (res.compatible)
-        return "ok";
-    switch (res.outcome) {
-      case RunOutcome::Timeout:
-        return "HANG";
-      case RunOutcome::Deadlock:
-        return "DEADLOCK";
-      case RunOutcome::Completed:
-        return "WRONG";
-    }
-    return "?";
-}
-
 /** Geometric mean of a nonempty vector. */
 inline double
 geomean(const std::vector<double> &values)
@@ -175,40 +158,6 @@ struct TreatmentRow
     std::vector<RunResult> treated; //!< parallel to the request
 };
 
-/**
- * Run the pthreads baseline, then each treatment, from one base
- * builder (the treatment on @p base is overwritten per run).
- * Sheriff treatments can be pathologically slow or hang outright, so
- * they get a budget of base cycles x @p sheriff_budget_factor
- * instead of the default; extra knobs go through @p tweak.
- */
-inline TreatmentRow
-runTreatmentRow(const ExperimentBuilder &base,
-                const std::vector<Treatment> &treatments,
-                Cycles sheriff_budget_factor = 25,
-                const std::function<void(ExperimentBuilder &)> &tweak =
-                    {})
-{
-    TreatmentRow row;
-    ExperimentBuilder base_b = base;
-    base_b.treatment(Treatment::Pthreads);
-    if (tweak)
-        tweak(base_b);
-    row.base = base_b.run();
-    for (Treatment t : treatments) {
-        ExperimentBuilder b = base;
-        b.treatment(t);
-        if (t == Treatment::SheriffDetect ||
-            t == Treatment::SheriffProtect) {
-            b.budget(row.base.cycles * sheriff_budget_factor);
-        }
-        if (tweak)
-            tweak(b);
-        row.treated.push_back(b.run());
-    }
-    return row;
-}
-
 /** Sweep workers for bench runs (env TMI_BENCH_WORKERS overrides).
  *  Defaults to 1: serial, and therefore bit-for-bit the historical
  *  bench output order. The sweep driver delivers results in job-id
@@ -225,9 +174,9 @@ benchWorkers()
 }
 
 /**
- * The whole-figure variant of runTreatmentRow: every (workload x
- * treatment) cell as one job matrix through the sweep driver, with
- * TMI_BENCH_WORKERS host threads. Runs in two phases because the
+ * Every (workload x treatment) cell of a figure as one job matrix
+ * through the sweep driver, with TMI_BENCH_WORKERS host threads, the
+ * pthreads baseline first per row. Runs in two phases because the
  * sheriff budget is derived from each workload's measured pthreads
  * baseline: phase 1 is all baselines, phase 2 all treated cells.
  * Row i corresponds to workloads[i]; treated[j] to treatments[j].

@@ -30,6 +30,8 @@ import argparse
 import os
 import sys
 
+from check_sweep import read_manifest
+
 # Keep in lockstep with chaosCsvHeader() in src/chaos/campaign.cc.
 COLUMNS = [
     "row_id", "kind", "workload", "treatment", "threads", "scale",
@@ -60,42 +62,6 @@ HEX16 = ["digest", "golden_digest"]
 def is_hex16(cell):
     return len(cell) == 16 and all(
         c in "0123456789abcdef" for c in cell)
-
-
-def read_manifest(journal_dir):
-    """Parse one supervisor journal dir. Returns (errors, jobs)."""
-    errors = []
-    mpath = os.path.join(journal_dir, "MANIFEST")
-    try:
-        with open(mpath, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        return ["%s: not readable: %s" % (mpath, exc)], 0
-
-    if not lines or lines[0] != "tmi-campaign-manifest v1":
-        return ["%s: bad header %r" % (mpath, lines[:1])], 0
-    kv = dict(line.split("=", 1) for line in lines[1:] if "=" in line)
-    for key in ("jobs", "shards", "fingerprint"):
-        if key not in kv:
-            errors.append("%s: missing %s=" % (mpath, key))
-    if errors:
-        return errors, 0
-    if not kv["jobs"].isdigit() or not kv["shards"].isdigit():
-        return ["%s: jobs/shards are not unsigned integers"
-                % mpath], 0
-    fp = kv["fingerprint"]
-    if len(fp) != 16 or any(c not in "0123456789abcdef" for c in fp):
-        errors.append("%s: fingerprint=%r is not 16-digit hex"
-                      % (mpath, fp))
-    jobs, shards = int(kv["jobs"]), int(kv["shards"])
-    if shards < 1:
-        errors.append("%s: shards=%d < 1" % (mpath, shards))
-    for s in range(shards):
-        jpath = os.path.join(journal_dir, "shard-%03d.journal" % s)
-        if not os.path.exists(jpath):
-            errors.append("%s: missing journal for shard %d (%s)"
-                          % (journal_dir, s, jpath))
-    return errors, jobs
 
 
 def check_manifest(campaign_dir, expect_rows):

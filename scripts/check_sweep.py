@@ -58,27 +58,27 @@ NUMERIC = [
 ]
 
 
-def check_manifest(journal_dir, expect_jobs):
+def read_manifest(journal_dir):
     """Validate one supervisor journal directory (MANIFEST + one
-    journal file per shard). Returns a list of errors."""
+    journal file per shard). Returns (errors, job count)."""
     errors = []
     mpath = os.path.join(journal_dir, "MANIFEST")
     try:
         with open(mpath, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
-        return ["%s: not readable: %s" % (mpath, exc)]
+        return ["%s: not readable: %s" % (mpath, exc)], 0
 
     if not lines or lines[0] != "tmi-campaign-manifest v1":
-        return ["%s: bad header %r" % (mpath, lines[:1])]
+        return ["%s: bad header %r" % (mpath, lines[:1])], 0
     kv = dict(line.split("=", 1) for line in lines[1:] if "=" in line)
     for key in ("jobs", "shards", "fingerprint"):
         if key not in kv:
             errors.append("%s: missing %s=" % (mpath, key))
     if errors:
-        return errors
+        return errors, 0
     if not kv["jobs"].isdigit() or not kv["shards"].isdigit():
-        return ["%s: jobs/shards are not unsigned integers" % mpath]
+        return ["%s: jobs/shards are not unsigned integers" % mpath], 0
     fp = kv["fingerprint"]
     if len(fp) != 16 or any(c not in "0123456789abcdef" for c in fp):
         errors.append("%s: fingerprint=%r is not 16-digit hex"
@@ -86,14 +86,21 @@ def check_manifest(journal_dir, expect_jobs):
     jobs, shards = int(kv["jobs"]), int(kv["shards"])
     if shards < 1:
         errors.append("%s: shards=%d < 1" % (mpath, shards))
-    if expect_jobs is not None and jobs != expect_jobs:
-        errors.append("%s: jobs=%d != %d CSV data rows"
-                      % (mpath, jobs, expect_jobs))
     for s in range(shards):
         jpath = os.path.join(journal_dir, "shard-%03d.journal" % s)
         if not os.path.exists(jpath):
             errors.append("%s: missing journal for shard %d (%s)"
                           % (journal_dir, s, jpath))
+    return errors, jobs
+
+
+def check_manifest(journal_dir, expect_jobs):
+    """read_manifest, plus the job count against the CSV's rows."""
+    errors, jobs = read_manifest(journal_dir)
+    if not errors and expect_jobs is not None and jobs != expect_jobs:
+        errors.append("%s: jobs=%d != %d CSV data rows"
+                      % (os.path.join(journal_dir, "MANIFEST"), jobs,
+                         expect_jobs))
     return errors
 
 

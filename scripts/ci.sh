@@ -28,12 +28,38 @@ for preset in "${@:-default asan-ubsan}"; do
     done
 done
 
+# Every temp file and journal directory below lives under one work
+# directory, removed by a single EXIT trap however the script ends.
+work="$(mktemp -d -t tmi_ci.XXXXXX)"
+trap 'rm -rf "$work"' EXIT
+
+# awk over a result CSV, addressing columns by header name:
+# col("cycles") is the current row's cycles cell. The header row is
+# consumed here, and a misspelled column name fails the gate.
+csv_awk() {
+    awk -F, 'function col(name) {
+            if (name in c) return $c[name]
+            print "no CSV column " name > "/dev/stderr"; nocol = 1; exit }
+        NR == 1 { for (i = 1; i <= NF; i++) c[$i] = i; next }
+        END { if (nocol) exit 2 }
+        '"$1" "${@:2}"
+}
+
+# Run one matrix on 1 and on N workers (CSV $1 and $1.wN); the two
+# CSVs must be byte-identical, the driver's determinism contract.
+on_1_and_n() {
+    local csv="$1" n="$2"
+    shift 2
+    "$@" --workers 1 --csv "$csv"
+    "$@" --workers "$n" --csv "$csv.w$n"
+    cmp "$csv" "$csv.w$n"
+}
+
 # Observability smoke: one traced, fault-injected robustness run must
 # emit Chrome trace JSON that passes the schema checker, including the
 # fault-fire and ladder-drop events the robustness figure depends on.
 echo "=== traced robustness sweep + trace schema check ==="
-trace_out="$(mktemp -t tmi_trace.XXXXXX.json)"
-trap 'rm -f "$trace_out"' EXIT
+trace_out="$work/trace.json"
 ./build/examples/experiment_cli \
     --workload histogramfs --treatment tmi-protect --scale 2 \
     --fault mem.clone_fail:always \
@@ -46,17 +72,13 @@ python3 scripts/check_trace.py "$trace_out" \
 # must produce a schema-valid CSV that is byte-identical to the same
 # sweep on 1 worker (the driver's determinism contract).
 echo "=== tmi-sweep smoke + CSV schema check ==="
-sweep1="$(mktemp -t tmi_sweep1.XXXXXX.csv)"
-sweep2="$(mktemp -t tmi_sweep2.XXXXXX.csv)"
-trap 'rm -f "$trace_out" "$sweep1" "$sweep2"' EXIT
+sweep1="$work/sweep1.csv"
 sweep_args=(--workloads histogramfs,spinlockpool
     --treatments pthreads,tmi-protect --scales 2
     --fault-points mem.frame_exhausted --fault-rates 0,0.5
     --no-progress)
-./build/examples/tmi-sweep "${sweep_args[@]}" --workers 1 --csv "$sweep1"
-./build/examples/tmi-sweep "${sweep_args[@]}" --workers 2 --csv "$sweep2"
+on_1_and_n "$sweep1" 2 ./build/examples/tmi-sweep "${sweep_args[@]}"
 python3 scripts/check_sweep.py "$sweep1" --expect-rows 8 --expect-ok
-cmp "$sweep1" "$sweep2"
 
 # Chaos smoke: a fixed-seed campaign over two cells must produce a
 # schema-valid CSV, byte-identical on 1 and 4 workers, with every
@@ -64,17 +86,12 @@ cmp "$sweep1" "$sweep2"
 # checked-in minimized reproducer for the Sheriff dissolve-ordering
 # regression must still be caught by the differential oracle.
 echo "=== tmi-chaos campaign smoke + golden reproducer replay ==="
-chaos1="$(mktemp -t tmi_chaos1.XXXXXX.csv)"
-chaos4="$(mktemp -t tmi_chaos4.XXXXXX.csv)"
-trap 'rm -f "$trace_out" "$sweep1" "$sweep2" "$chaos1" "$chaos4"' EXIT
+chaos1="$work/chaos1.csv"
 chaos_args=(--workloads histogramfs --treatments tmi-protect,laser
     --schedules 8 --campaign-seed 2026 --no-minimize --no-progress)
-./build/examples/tmi-chaos campaign "${chaos_args[@]}" \
-    --workers 1 --csv "$chaos1"
-./build/examples/tmi-chaos campaign "${chaos_args[@]}" \
-    --workers 4 --csv "$chaos4"
+on_1_and_n "$chaos1" 4 \
+    ./build/examples/tmi-chaos campaign "${chaos_args[@]}"
 python3 scripts/check_chaos.py "$chaos1" --expect-rows 18 --expect-pass
-cmp "$chaos1" "$chaos4"
 ./build/examples/tmi-chaos replay \
     goldens/chaos/sheriff_dissolve_order.spec --expect-fail
 
@@ -85,14 +102,11 @@ cmp "$chaos1" "$chaos4"
 # SIGKILLed mid-campaign must resume from its journals into the same
 # bytes as an uninterrupted run.
 echo "=== crash-safe orchestration smoke (kill -9 + resume) ==="
-shard_dir="$(mktemp -d -t tmi_shards.XXXXXX)"
-sweep3="$(mktemp -t tmi_sweep3.XXXXXX.csv)"
-sweep4="$(mktemp -t tmi_sweep4.XXXXXX.csv)"
-kill_gold="$(mktemp -t tmi_killgold.XXXXXX.csv)"
-chaos_sh="$(mktemp -t tmi_chaos_sh.XXXXXX.csv)"
-trap 'rm -f "$trace_out" "$sweep1" "$sweep2" "$chaos1" "$chaos4" \
-    "$sweep3" "$sweep4" "$kill_gold" "$chaos_sh"; \
-    rm -rf "$shard_dir"' EXIT
+shard_dir="$work/shards"
+sweep3="$work/sweep3.csv"
+sweep4="$work/sweep4.csv"
+kill_gold="$work/killgold.csv"
+chaos_sh="$work/chaos_sh.csv"
 
 ./build/examples/tmi-sweep "${sweep_args[@]}" --csv "$sweep3" \
     --journal-dir "$shard_dir/full" --shards 3 --checkpoint-every 2
@@ -125,7 +139,7 @@ victim=$!
 for _ in $(seq 1 200); do
     size="$(stat -c%s "$shard_dir/killed/shard-000.journal" \
         2>/dev/null || echo 0)"
-    if [ "$size" -gt 8 ]; then break; fi # past the journal magic
+    if [ "$size" -gt 16 ]; then break; fi # past the journal header
     sleep 0.02
 done
 kill -9 -- "-$victim" 2>/dev/null || true
@@ -135,6 +149,32 @@ wait "$victim" 2>/dev/null || true
 cmp "$kill_gold" "$sweep4"
 python3 scripts/check_sweep.py "$sweep4" --expect-rows 16 \
     --expect-ok --manifest "$shard_dir/killed"
+
+# Resume must refuse anything that is not exactly the journaled
+# campaign, exit 2 with a message, and leave the journals alone: a
+# changed job field (here the analysis interval), and journals whose
+# magic says another format version.
+resume_err="$work/resume_err.txt"
+pin_args=(--workloads histogramfs --treatments pthreads,tmi-protect
+    --scales 2 --no-progress --journal-dir "$shard_dir/pinned")
+./build/examples/tmi-sweep "${pin_args[@]}" --shards 2 \
+    --csv "$work/pinned.csv"
+rc=0
+./build/examples/tmi-sweep "${pin_args[@]}" --interval 500000 \
+    --resume --csv "$work/pinned.csv" 2> "$resume_err" || rc=$?
+[ "$rc" -eq 2 ]
+grep -q "spec mismatch in run.analysisInterval" "$resume_err"
+
+for journal in "$shard_dir"/pinned/shard-*.journal; do
+    printf 'TMIJRNL3' | dd of="$journal" conv=notrunc status=none
+done
+cp -r "$shard_dir/pinned" "$work/pinned_before"
+rc=0
+./build/examples/tmi-sweep "${pin_args[@]}" --resume \
+    --csv "$work/pinned.csv" 2> "$resume_err" || rc=$?
+[ "$rc" -eq 2 ]
+grep -q "journal schema TMIJRNL3 differs" "$resume_err"
+diff -r "$work/pinned_before" "$shard_dir/pinned"
 
 # Access-path smoke: the cycle-identity golden (simulated outputs are
 # byte-identical across hot-path changes; also run under ctest, pinned
@@ -165,22 +205,16 @@ done
 # misspelled --param key must fail fast (exit 2) naming the valid
 # knobs instead of silently running the default.
 echo "=== server-family latency sweep + --param validation ==="
-server1="$(mktemp -t tmi_server1.XXXXXX.csv)"
-server4="$(mktemp -t tmi_server4.XXXXXX.csv)"
-param_err="$(mktemp -t tmi_paramerr.XXXXXX.txt)"
-trap 'rm -f "$trace_out" "$sweep1" "$sweep2" "$chaos1" "$chaos4" \
-    "$server1" "$server4" "$param_err"' EXIT
+server1="$work/server1.csv"
+param_err="$work/paramerr.txt"
 server_args=(--workloads family:server
     --treatments pthreads,tmi-protect --scales 1
     --param requests=96 --param arrival_gap=300 --no-progress)
-./build/examples/tmi-sweep "${server_args[@]}" --workers 1 \
-    --csv "$server1"
-./build/examples/tmi-sweep "${server_args[@]}" --workers 4 \
-    --csv "$server4"
+on_1_and_n "$server1" 4 ./build/examples/tmi-sweep "${server_args[@]}"
 python3 scripts/check_sweep.py "$server1" --expect-rows 4 --expect-ok
-cmp "$server1" "$server4"
-awk -F, 'NR > 1 && ($30 + 0 == 0 || $31 + 0 > $32 + 0 \
-    || $32 + 0 > $33 + 0) \
+csv_awk '(col("requests") + 0 == 0 \
+    || col("sojourn_p50") + 0 > col("sojourn_p99") + 0 \
+    || col("sojourn_p99") + 0 > col("sojourn_p999") + 0) \
     { print "bad latency row: " $0; bad = 1 } END { exit bad }' \
     "$server1"
 
@@ -209,13 +243,9 @@ grep -q "run.threads" "$param_err"
 # least 5x against its pthreads row, and report zero profile HITMs on
 # the pure replay (profiling really was skipped).
 echo "=== huron-static golden plan + profile->plan->replay smoke ==="
-plan_out="$(mktemp -t tmi_plan.XXXXXX.txt)"
-huron1="$(mktemp -t tmi_huron1.XXXXXX.csv)"
-huron4="$(mktemp -t tmi_huron4.XXXXXX.csv)"
-replay1="$(mktemp -t tmi_replay1.XXXXXX.csv)"
-trap 'rm -f "$trace_out" "$sweep1" "$sweep2" "$chaos1" "$chaos4" \
-    "$server1" "$server4" "$param_err" "$plan_out" \
-    "$huron1" "$huron4" "$replay1"' EXIT
+plan_out="$work/plan.txt"
+huron1="$work/huron1.csv"
+replay1="$work/replay1.csv"
 ./build/examples/experiment_cli --workload histogramfs \
     --treatment huron-static --scale 4 --interval 500000 \
     --plan-out "$plan_out"
@@ -224,14 +254,12 @@ cmp goldens/staticrepair/histogramfs.plan "$plan_out"
 huron_args=(--workloads histogramfs,lreg,spinlockpool
     --treatments pthreads,huron-static --scales 4 --interval 500000
     --no-progress)
-./build/examples/tmi-sweep "${huron_args[@]}" --workers 1 \
-    --csv "$huron1"
-./build/examples/tmi-sweep "${huron_args[@]}" --workers 4 \
-    --csv "$huron4"
+on_1_and_n "$huron1" 4 ./build/examples/tmi-sweep "${huron_args[@]}"
 python3 scripts/check_sweep.py "$huron1" --expect-rows 6 --expect-ok
-cmp "$huron1" "$huron4"
-awk -F, 'NR > 1 { hitm[$2 "," $3] = $18
-        if ($3 == "huron-static" && ($34 + 0 < 1 || $35 != $34)) {
+csv_awk '{ hitm[col("workload") "," col("treatment")] = col("hitm_events")
+        if (col("treatment") == "huron-static" \
+            && (col("plan_sites") + 0 < 1 \
+                || col("plan_applied") != col("plan_sites"))) {
             print "huron row without applied plan: " $0; bad = 1 } }
     END { for (k in hitm) { split(k, a, ",")
             if (a[2] != "huron-static") continue
@@ -246,10 +274,11 @@ awk -F, 'NR > 1 { hitm[$2 "," $3] = $18
     --plan-in goldens/staticrepair/histogramfs.plan \
     --no-progress --workers 1 --csv "$replay1"
 python3 scripts/check_sweep.py "$replay1" --expect-rows 2 --expect-ok
-awk -F, 'NR > 1 && $3 == "huron-static" \
-    && ($38 + 0 != 0 || $34 + 0 < 1 || $18 * 5 > base) \
+csv_awk 'col("treatment") == "huron-static" \
+    && (col("plan_profile_hitms") + 0 != 0 || col("plan_sites") + 0 < 1 \
+        || col("hitm_events") * 5 > base) \
     { print "bad replay row: " $0; bad = 1 }
-    NR > 1 && $3 == "pthreads" { base = $18 }
+    col("treatment") == "pthreads" { base = col("hitm_events") }
     END { exit bad }' "$replay1"
 
 # Long-running stateful server chaos smoke: fault schedules against
@@ -259,22 +288,15 @@ awk -F, 'NR > 1 && $3 == "huron-static" \
 # byte-identical on 1 and 4 workers. sheriff-protect is excluded:
 # it cannot validate the ring atomics.
 echo "=== server-family chaos campaign smoke ==="
-schaos1="$(mktemp -t tmi_schaos1.XXXXXX.csv)"
-schaos4="$(mktemp -t tmi_schaos4.XXXXXX.csv)"
-trap 'rm -f "$trace_out" "$sweep1" "$sweep2" "$chaos1" "$chaos4" \
-    "$server1" "$server4" "$param_err" "$plan_out" \
-    "$huron1" "$huron4" "$replay1" "$schaos1" "$schaos4"' EXIT
+schaos1="$work/schaos1.csv"
 schaos_args=(--workloads feed-spsc,feed-spmc
     --treatments tmi-protect,laser --schedules 4 --campaign-seed 2026
     --param requests=384 --param stat_rounds=8
     --no-minimize --no-progress)
-./build/examples/tmi-chaos campaign "${schaos_args[@]}" \
-    --workers 1 --csv "$schaos1"
-./build/examples/tmi-chaos campaign "${schaos_args[@]}" \
-    --workers 4 --csv "$schaos4"
+on_1_and_n "$schaos1" 4 \
+    ./build/examples/tmi-chaos campaign "${schaos_args[@]}"
 python3 scripts/check_chaos.py "$schaos1" --expect-rows 20 \
     --expect-pass
-cmp "$schaos1" "$schaos4"
 
 # htm-elide smoke: the elision sweep must be byte-identical on 1 and
 # 4 workers and show the backend doing its job -- spinlockpool's
@@ -285,22 +307,18 @@ cmp "$schaos1" "$schaos4"
 # isolate on per-worker malloc'd slots): elision cannot fix what the
 # allocator broke, and CI pins that ordering.
 echo "=== htm-elide sweep + malloc-placement gate ==="
-htm1="$(mktemp -t tmi_htm1.XXXXXX.csv)"
-htm4="$(mktemp -t tmi_htm4.XXXXXX.csv)"
-place1="$(mktemp -t tmi_place1.XXXXXX.csv)"
-trap 'rm -f "$trace_out" "$sweep1" "$sweep2" "$chaos1" "$chaos4" \
-    "$server1" "$server4" "$param_err" "$plan_out" \
-    "$huron1" "$huron4" "$replay1" "$schaos1" "$schaos4" \
-    "$htm1" "$htm4" "$place1"' EXIT
+htm1="$work/htm1.csv"
+place1="$work/place1.csv"
 htm_args=(--workloads spinlockpool,shptr-lock,shptr-relaxed
     --treatments pthreads,htm-elide --scales 2 --no-progress)
-./build/examples/tmi-sweep "${htm_args[@]}" --workers 1 --csv "$htm1"
-./build/examples/tmi-sweep "${htm_args[@]}" --workers 4 --csv "$htm4"
+on_1_and_n "$htm1" 4 ./build/examples/tmi-sweep "${htm_args[@]}"
 python3 scripts/check_sweep.py "$htm1" --expect-rows 6 --expect-ok
-cmp "$htm1" "$htm4"
-awk -F, 'NR > 1 { hitm[$2 "," $3] = $18; cyc[$2 "," $3] = $16
-        if ($3 == "htm-elide" && $2 == "spinlockpool" \
-            && ($40 + 0 < 1 || $43 + 0 != 0)) {
+csv_awk '{ cell = col("workload") "," col("treatment")
+        hitm[cell] = col("hitm_events"); cyc[cell] = col("cycles")
+        if (col("treatment") == "htm-elide" \
+            && col("workload") == "spinlockpool" \
+            && (col("txn_commits") + 0 < 1 \
+                || col("fallback_locks") + 0 != 0)) {
             print "spinlockpool must elide commit-clean: " $0
             bad = 1 } }
     END { if (hitm["spinlockpool,htm-elide"] * 10 > \
@@ -321,7 +339,7 @@ awk -F, 'NR > 1 { hitm[$2 "," $3] = $18; cyc[$2 "," $3] = $16
     --param small_slots=1 --scales 2 --no-progress \
     --workers 1 --csv "$place1"
 python3 scripts/check_sweep.py "$place1" --expect-rows 3 --expect-ok
-awk -F, 'NR > 1 { rate[$39] = $42 + 0 }
+csv_awk '{ rate[col("placement")] = col("abort_rate") + 0 }
     END { if (!(rate["pack"] > rate["arena"] &&
                rate["arena"] >= rate["isolate"])) {
             print "placement abort-rate not monotone: pack=" \
@@ -336,21 +354,13 @@ awk -F, 'NR > 1 { rate[$39] = $42 + 0 }
 # livelock-by-abort reproducer (watchdog disarmed, stuck fallback)
 # must still be caught by the oracle.
 echo "=== htm abort-storm chaos smoke + livelock reproducer ==="
-hchaos1="$(mktemp -t tmi_hchaos1.XXXXXX.csv)"
-hchaos4="$(mktemp -t tmi_hchaos4.XXXXXX.csv)"
-trap 'rm -f "$trace_out" "$sweep1" "$sweep2" "$chaos1" "$chaos4" \
-    "$server1" "$server4" "$param_err" "$plan_out" \
-    "$huron1" "$huron4" "$replay1" "$schaos1" "$schaos4" \
-    "$htm1" "$htm4" "$place1" "$hchaos1" "$hchaos4"' EXIT
+hchaos1="$work/hchaos1.csv"
 hchaos_args=(--workloads spinlockpool --treatments htm-elide
     --schedules 8 --campaign-seed 2026 --no-minimize --no-progress)
-./build/examples/tmi-chaos campaign "${hchaos_args[@]}" \
-    --workers 1 --csv "$hchaos1"
-./build/examples/tmi-chaos campaign "${hchaos_args[@]}" \
-    --workers 4 --csv "$hchaos4"
+on_1_and_n "$hchaos1" 4 \
+    ./build/examples/tmi-chaos campaign "${hchaos_args[@]}"
 python3 scripts/check_chaos.py "$hchaos1" --expect-rows 9 \
     --expect-pass
-cmp "$hchaos1" "$hchaos4"
 ./build/examples/tmi-chaos replay \
     goldens/chaos/htm_abort_storm.spec --expect-fail
 

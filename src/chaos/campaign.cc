@@ -1,8 +1,11 @@
 #include "campaign.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
+
+#include "common/fnv.hh"
+#include "core/csv.hh"
+#include "driver/sink.hh"
 
 namespace tmi::chaos
 {
@@ -42,31 +45,6 @@ fillCell(ChaosSchedule &sched, const Config &config)
     sched.watchdogTimeout = config.run.watchdogTimeout;
     sched.analysisInterval = config.run.analysisInterval;
     sched.recoverUpWindows = config.tmi.robust.recoverUpWindows;
-}
-
-/** CSV cells must not sprout new columns or rows. */
-std::string
-sanitize(std::string s)
-{
-    for (char &c : s) {
-        if (c == ',' || c == '\n' || c == '\r')
-            c = ';';
-    }
-    return s;
-}
-
-const char *
-outcomeStr(RunOutcome outcome)
-{
-    switch (outcome) {
-      case RunOutcome::Completed:
-        return "completed";
-      case RunOutcome::Timeout:
-        return "timeout";
-      case RunOutcome::Deadlock:
-        return "deadlock";
-    }
-    return "?";
 }
 
 /** Judge a delivered job against its golden (host failures too). */
@@ -138,58 +116,91 @@ CampaignSpec::totalRuns() const
     return cells * (1 + schedules);
 }
 
+namespace
+{
+
+using R = CampaignRow;
+using driver::okCount;
+
+template <auto Field>
+std::string
+cellInt(const R &r)
+{
+    return std::to_string(r.schedule.*Field);
+}
+
+bool
+ranOk(const R &r)
+{
+    return r.status == driver::JobStatus::Ok;
+}
+
+const CsvColumn<R> kChaosColumns[] = {
+    {"row_id", [](const R &r) { return std::to_string(r.id); }},
+    {"kind",
+     [](const R &r) -> std::string { return r.golden ? "golden" : "chaos"; }},
+    {"workload", [](const R &r) { return r.schedule.workload; }},
+    {"treatment",
+     [](const R &r) -> std::string {
+         return treatmentName(r.schedule.treatment);
+     }},
+    {"threads", cellInt<&ChaosSchedule::threads>},
+    {"scale", cellInt<&ChaosSchedule::scale>},
+    {"seed", cellInt<&ChaosSchedule::seed>},
+    {"campaign_seed", cellInt<&ChaosSchedule::campaignSeed>},
+    {"schedule_index", cellInt<&ChaosSchedule::index>},
+    {"fault_seed", cellInt<&ChaosSchedule::faultSeed>},
+    {"events",
+     [](const R &r) { return std::to_string(r.schedule.events.size()); }},
+    {"status",
+     [](const R &r) -> std::string {
+         return driver::jobStatusName(r.status);
+     }},
+    {"outcome",
+     [](const R &r) {
+         return dashUnless(ranOk(r), outcomeName(r.run.outcome));
+     }},
+    {"verdict",
+     [](const R &r) -> std::string {
+         return r.golden ? "golden" : verdictName(r.judgement.verdict);
+     }},
+    {"reason",
+     [](const R &r) {
+         return dashUnless(!r.judgement.reason.empty(),
+                           csvSanitize(r.judgement.reason));
+     }},
+    {"rung",
+     [](const R &r) {
+         return dashUnless(ranOk(r) && !r.run.ladderRung.empty(),
+                           r.run.ladderRung);
+     }},
+    {"cycles", okCount<&RunResult::cycles>},
+    {"slowdown", [](const R &r) { return strprintf("%.4f", r.slowdown); }},
+    {"fault_fires", okCount<&RunResult::faultFires>},
+    {"t2p_aborts", okCount<&RunResult::t2pAborts>},
+    {"unrepairs", okCount<&RunResult::unrepairs>},
+    {"watchdog_flushes", okCount<&RunResult::watchdogFlushes>},
+    {"ladder_drops", okCount<&RunResult::ladderDrops>},
+    {"ladder_recovers", okCount<&RunResult::ladderRecovers>},
+    {"invariant_violations", okCount<&RunResult::invariantViolations>},
+    {"digest",
+     [](const R &r) { return hashHex(ranOk(r) ? r.run.resultDigest : 0); }},
+    {"golden_digest", [](const R &r) { return hashHex(r.goldenDigest); }},
+};
+
+} // namespace
+
 const char *
 chaosCsvHeader()
 {
-    return "row_id,kind,workload,treatment,threads,scale,seed,"
-           "campaign_seed,schedule_index,fault_seed,events,status,"
-           "outcome,verdict,reason,rung,cycles,slowdown,fault_fires,"
-           "t2p_aborts,unrepairs,watchdog_flushes,ladder_drops,"
-           "ladder_recovers,invariant_violations,digest,"
-           "golden_digest";
+    static const std::string header = csvHeader(kChaosColumns);
+    return header.c_str();
 }
 
 std::string
 chaosCsvRow(const CampaignRow &row)
 {
-    bool ok = row.status == driver::JobStatus::Ok;
-    const RunResult &r = row.run;
-    char buf[768];
-    std::snprintf(
-        buf, sizeof(buf),
-        "%llu,%s,%s,%s,%u,%llu,%llu,%llu,%llu,%llu,%zu,%s,%s,%s,%s,"
-        "%s,%llu,%.4f,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-        "%016llx,%016llx",
-        static_cast<unsigned long long>(row.id),
-        row.golden ? "golden" : "chaos",
-        row.schedule.workload.c_str(),
-        treatmentName(row.schedule.treatment), row.schedule.threads,
-        static_cast<unsigned long long>(row.schedule.scale),
-        static_cast<unsigned long long>(row.schedule.seed),
-        static_cast<unsigned long long>(row.schedule.campaignSeed),
-        static_cast<unsigned long long>(row.schedule.index),
-        static_cast<unsigned long long>(row.schedule.faultSeed),
-        row.schedule.events.size(),
-        driver::jobStatusName(row.status),
-        ok ? outcomeStr(r.outcome) : "-",
-        row.golden ? "golden" : verdictName(row.judgement.verdict),
-        row.judgement.reason.empty()
-            ? "-"
-            : sanitize(row.judgement.reason).c_str(),
-        ok && !r.ladderRung.empty() ? r.ladderRung.c_str() : "-",
-        static_cast<unsigned long long>(ok ? r.cycles : 0),
-        row.slowdown,
-        static_cast<unsigned long long>(ok ? r.faultFires : 0),
-        static_cast<unsigned long long>(ok ? r.t2pAborts : 0),
-        static_cast<unsigned long long>(ok ? r.unrepairs : 0),
-        static_cast<unsigned long long>(ok ? r.watchdogFlushes : 0),
-        static_cast<unsigned long long>(ok ? r.ladderDrops : 0),
-        static_cast<unsigned long long>(ok ? r.ladderRecovers : 0),
-        static_cast<unsigned long long>(ok ? r.invariantViolations
-                                           : 0),
-        static_cast<unsigned long long>(ok ? r.resultDigest : 0),
-        static_cast<unsigned long long>(row.goldenDigest));
-    return buf;
+    return csvRow(kChaosColumns, row);
 }
 
 CampaignOutcome

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/fnv.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "fault/fault_injector.hh"
@@ -68,12 +69,7 @@ namespace
 std::uint64_t
 drawSeed(std::uint64_t campaign_seed, std::uint64_t index)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned byte = 0; byte < 8; ++byte) {
-        h ^= (index >> (byte * 8)) & 0xff;
-        h *= 0x100000001b3ULL;
-    }
-    return campaign_seed ^ h;
+    return campaign_seed ^ Fnv1a().u64(index).h;
 }
 
 } // namespace

@@ -21,12 +21,6 @@ setLogLevel(LogLevel level)
     globalLevel.store(level, std::memory_order_relaxed);
 }
 
-LogLevel
-logLevel()
-{
-    return globalLevel.load(std::memory_order_relaxed);
-}
-
 std::string
 vstrprintf(const char *fmt, va_list ap)
 {

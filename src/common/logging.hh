@@ -27,9 +27,6 @@ enum class LogLevel
 /** Set the global verbosity for warn()/inform()/debugTrace(). */
 void setLogLevel(LogLevel level);
 
-/** Current global verbosity. */
-LogLevel logLevel();
-
 /**
  * Report an internal invariant violation and abort.
  *

@@ -1,6 +1,5 @@
 #include "experiment.hh"
 
-#include <cstdio>
 #include <functional>
 #include <sstream>
 
@@ -8,6 +7,7 @@
 #include "baselines/laser.hh"
 #include "baselines/sheriff.hh"
 #include "core/config.hh"
+#include "core/csv.hh"
 #include "runtime/tmi_runtime.hh"
 #include "staticrepair/applier.hh"
 #include "staticrepair/planner.hh"
@@ -727,33 +727,60 @@ runExperiment(const Config &full)
 }
 
 const char *
+outcomeStr(const RunResult &res)
+{
+    return res.compatible                        ? "ok"
+           : res.outcome == RunOutcome::Timeout  ? "HANG"
+           : res.outcome == RunOutcome::Deadlock ? "DEADLOCK"
+                                                 : "WRONG";
+}
+
+namespace
+{
+
+/** One robustness-sweep row: a run plus its scenario labels. */
+struct RobustnessRow
+{
+    const RunResult &res;
+    const std::string &scenario;
+    double slowdown;
+};
+using R = RobustnessRow;
+
+template <auto Field>
+std::string
+counter(const R &r)
+{
+    return std::to_string(r.res.*Field);
+}
+
+const CsvColumn<R> kRobustnessColumns[] = {
+    {"workload", [](const R &r) { return r.res.workload; }},
+    {"scenario", [](const R &r) { return r.scenario; }},
+    {"outcome", [](const R &r) -> std::string { return outcomeStr(r.res); }},
+    {"rung", [](const R &r) { return r.res.ladderRung; }},
+    {"slowdown", [](const R &r) { return strprintf("%.4f", r.slowdown); }},
+    {"fires", counter<&RunResult::faultFires>},
+    {"t2p_aborts", counter<&RunResult::t2pAborts>},
+    {"unrepairs", counter<&RunResult::unrepairs>},
+    {"watchdog", counter<&RunResult::watchdogFlushes>},
+    {"cow_fallbacks", counter<&RunResult::cowFallbacks>},
+};
+
+} // namespace
+
+const char *
 robustnessCsvHeader()
 {
-    return "workload,scenario,outcome,rung,slowdown,fires,"
-           "t2p_aborts,unrepairs,watchdog,cow_fallbacks";
+    static const std::string header = csvHeader(kRobustnessColumns);
+    return header.c_str();
 }
 
 std::string
 robustnessCsvRow(const RunResult &res, const std::string &scenario,
                  double slowdown)
 {
-    const char *outcome = res.compatible ? "ok"
-                          : res.outcome == RunOutcome::Timeout
-                              ? "HANG"
-                          : res.outcome == RunOutcome::Deadlock
-                              ? "DEADLOCK"
-                              : "WRONG";
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%s,%s,%s,%s,%.4f,%llu,%llu,%llu,%llu,%llu",
-                  res.workload.c_str(), scenario.c_str(), outcome,
-                  res.ladderRung.c_str(), slowdown,
-                  static_cast<unsigned long long>(res.faultFires),
-                  static_cast<unsigned long long>(res.t2pAborts),
-                  static_cast<unsigned long long>(res.unrepairs),
-                  static_cast<unsigned long long>(res.watchdogFlushes),
-                  static_cast<unsigned long long>(res.cowFallbacks));
-    return buf;
+    return csvRow(kRobustnessColumns, R{res, scenario, slowdown});
 }
 
 double

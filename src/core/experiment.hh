@@ -81,66 +81,80 @@ const std::vector<PlacementPolicy> &allPlacements();
 /** Parse a placement name; null on no match. */
 const PlacementPolicy *tryParsePlacement(const std::string &name);
 
+using ParamList = std::vector<std::pair<std::string, std::string>>;
+using FaultList = std::vector<std::pair<std::string, FaultSpec>>;
+
+/**
+ * Every field that identifies one cell of the evaluation matrix,
+ * declared once as X(type, name, default). The list generates the
+ * ExperimentConfig members and the resume fingerprint that pins a
+ * journal directory to its jobs (driver/supervisor.cc).
+ */
+#define TMI_EXPERIMENT_CONFIG_FIELDS(X)                                       \
+    X(std::string, workload, )                                                \
+    X(Treatment, treatment, Treatment::Pthreads)                              \
+    X(unsigned, threads, 4)                                                   \
+    X(std::uint64_t, scale, 1)                                                \
+    X(unsigned, pageShift, smallPageShift)                                    \
+    X(AllocatorKind, allocator, AllocatorKind::Lockless)                      \
+    /** Malloc-placement sensitivity axis; Default = leave the                \
+     *  treatment's allocator configuration alone. */                         \
+    X(PlacementPolicy, placement, PlacementPolicy::Default)                   \
+    X(std::uint64_t, perfPeriod, 100)                                         \
+    /** Detector repair threshold (estimated FS events/sec/page). */          \
+    X(double, repairThreshold, 100000.0)                                      \
+    /** Detector analysis cadence in simulated cycles. */                     \
+    X(Cycles, analysisInterval, 2'000'000)                                    \
+    /** Simulated-cycle budget; exceeding it reports Timeout. */              \
+    X(Cycles, budget, 400'000'000'000ULL)                                     \
+    X(std::uint64_t, seed, 42)                                                \
+    /** Capture the full component statistics dump in the result. */          \
+    X(bool, dumpStats, false)                                                 \
+    /** Workload-specific knobs as raw key=value pairs, validated             \
+     *  against the workload's ParamSchema (workloads/params.hh) by           \
+     *  validateConfig() and resolved into WorkloadParams::extra at           \
+     *  run start. Order is the order given; later duplicates win. */         \
+    X(ParamList, params, )                                                    \
+    /** Fault points to arm on the machine (robustness experiments;           \
+     *  empty = no injection anywhere on the hot path). */                    \
+    X(FaultList, faults, )                                                    \
+    X(std::uint64_t, faultSeed, 0xfa17u)                                      \
+    /** PTSB livelock watchdog: -1 treatment default (off for the             \
+     *  no-CCC/everywhere ablations, which exist to reproduce the             \
+     *  paper's failure modes), 0 force off, 1 force on. */                   \
+    X(int, watchdog, -1)                                                      \
+    /** Override RobustnessConfig::watchdogTimeout (0 = keep). */             \
+    X(Cycles, watchdogTimeout, 0)                                             \
+    /** Post-repair effectiveness monitor: same -1/0/1 convention. */         \
+    X(int, monitor, -1)                                                       \
+    /** TEST-ONLY: reintroduce Sheriff's dissolve-ordering bug (see           \
+     *  SheriffConfig::buggyDissolveOrder). Exists so chaos                   \
+     *  regression runs can replay the bug through the normal                 \
+     *  experiment path. */                                                   \
+    X(bool, sheriffBuggyDissolve, false)                                      \
+    /** huron-static: a pre-computed layout plan (text format). When          \
+     *  non-empty the profiling phase is skipped and the replay runs          \
+     *  under this plan; other treatments ignore it. */                       \
+    X(std::string, planIn, )                                                  \
+    /** Structured event tracing: enabled, the run's drained                  \
+     *  timeline and a unified metrics registry land in the                   \
+     *  RunResult. */                                                         \
+    X(obs::TraceConfig, trace, )
+
+/** Declares one list entry as a member with its default. */
+#define TMI_DECLARE_FIELD(type, name, ...) type name{__VA_ARGS__};
+
 /** One cell of the evaluation matrix. */
 struct ExperimentConfig
 {
-    std::string workload;
-    Treatment treatment = Treatment::Pthreads;
-    unsigned threads = 4;
-    std::uint64_t scale = 1;
-    unsigned pageShift = smallPageShift;
-    AllocatorKind allocator = AllocatorKind::Lockless;
-    /** Malloc-placement sensitivity axis; Default = leave the
-     *  treatment's allocator configuration alone. */
-    PlacementPolicy placement = PlacementPolicy::Default;
-    std::uint64_t perfPeriod = 100;
-    /** Detector repair threshold (estimated FS events/sec/page). */
-    double repairThreshold = 100000.0;
-    /** Detector analysis cadence in simulated cycles. */
-    Cycles analysisInterval = 2'000'000;
-    /** Simulated-cycle budget; exceeding it reports Timeout. */
-    Cycles budget = 400'000'000'000ULL;
-    std::uint64_t seed = 42;
-    /** Capture the full component statistics dump in the result. */
-    bool dumpStats = false;
-
-    /** Workload-specific knobs as raw key=value pairs, validated
-     *  against the workload's ParamSchema (workloads/params.hh) by
-     *  validateConfig() and resolved into WorkloadParams::extra at
-     *  run start. Order is the order given; later duplicates win. */
-    std::vector<std::pair<std::string, std::string>> params;
-
-    /** Fault points to arm on the machine (robustness experiments;
-     *  empty = no injection anywhere on the hot path). */
-    std::vector<std::pair<std::string, FaultSpec>> faults;
-    std::uint64_t faultSeed = 0xfa17u;
-    /** PTSB livelock watchdog: -1 treatment default (off for the
-     *  no-CCC/everywhere ablations, which exist to reproduce the
-     *  paper's failure modes), 0 force off, 1 force on. */
-    int watchdog = -1;
-    /** Override RobustnessConfig::watchdogTimeout (0 = keep). */
-    Cycles watchdogTimeout = 0;
-    /** Post-repair effectiveness monitor: same -1/0/1 convention. */
-    int monitor = -1;
-    /** TEST-ONLY: reintroduce Sheriff's dissolve-ordering bug (see
-     *  SheriffConfig::buggyDissolveOrder). Exists so chaos regression
-     *  runs can replay the bug through the normal experiment path. */
-    bool sheriffBuggyDissolve = false;
-
-    /** huron-static: a pre-computed layout plan (text format). When
-     *  non-empty the profiling phase is skipped and the replay runs
-     *  under this plan; other treatments ignore it. */
-    std::string planIn;
+    TMI_EXPERIMENT_CONFIG_FIELDS(TMI_DECLARE_FIELD)
 
     /** Host-side cancellation token (not owned; null = none). When it
      *  becomes true the scheduler stops at the next fiber switch and
      *  the run reports RunOutcome::Timeout. The sweep driver uses
-     *  this for per-job timeouts and sweep-wide cancellation. */
+     *  this for per-job timeouts and sweep-wide cancellation. Not
+     *  part of the job's identity, so it is not on the list. */
     const std::atomic<bool> *cancel = nullptr;
-
-    /** Structured event tracing: enabled, the run's drained timeline
-     *  and a unified metrics registry land in the RunResult. */
-    obs::TraceConfig trace;
 
     bool operator==(const ExperimentConfig &) const = default;
 };
@@ -150,106 +164,93 @@ void validateConfig(const ExperimentConfig &config,
                     std::vector<ConfigError> &errors,
                     const std::string &prefix = "ExperimentConfig");
 
-/** Everything measured from one run. */
+/**
+ * Every durable RunResult field, declared once as X(type, name,
+ * default). The list generates the RunResult members and the journal
+ * record codec and schema hash (driver/journal.cc).
+ */
+#define TMI_RUN_RESULT_FIELDS(X)                                              \
+    X(std::string, workload, )                                                \
+    X(Treatment, treatment, Treatment::Pthreads)                              \
+    X(RunOutcome, outcome, RunOutcome::Completed)                             \
+    X(bool, valid, false)                                                     \
+    X(bool, compatible, false) /**< completed with correct results */         \
+    /** Workload end-state digest (chaos oracle): the workload's              \
+     *  resultDigest() over the shared committed view. Zero when the          \
+     *  run did not complete or the workload defines no digest. */            \
+    X(std::uint64_t, resultDigest, 0)                                         \
+    X(Cycles, cycles, 0)                     /**< simulated makespan */       \
+    X(double, seconds, 0)                    /**< cycles / cyclesPerSecond */ \
+    X(std::uint64_t, hitmEvents, 0) /**< true coherence HITM count */         \
+    X(std::uint64_t, pebsRecords, 0)         /**< sampled records emitted */  \
+    X(double, fsEventsEstimated, 0)          /**< detector estimate */        \
+    X(double, tsEventsEstimated, 0)                                           \
+    X(bool, repairActive, false)                                              \
+    X(Cycles, repairStartCycles, 0)          /**< Table 3 "Unrepaired" */     \
+    X(Cycles, t2pCycles, 0)                  /**< Table 3 "T2P" */            \
+    X(std::uint64_t, commits, 0)             /**< PTSB commits */             \
+    X(double, commitsPerSec, 0)              /**< Table 3 "Commits/s" */      \
+    X(std::uint64_t, pagesProtected, 0)                                       \
+    /** Racy-merge bytes (nonzero = the PTSB raced; Lemma 3.1). */            \
+    X(std::uint64_t, conflictBytes, 0)                                        \
+    X(std::uint64_t, appBytesPeak, 0)        /**< application memory */       \
+    X(std::uint64_t, overheadBytes, 0)       /**< runtime memory overhead */  \
+    X(std::uint64_t, softFaults, 0)                                           \
+    X(std::uint64_t, memOps, 0)                                               \
+    /* Robustness telemetry (Tmi, Sheriff and LASER; zero / empty             \
+     * for pthreads/manual). */                                               \
+    /** Final degradation-ladder rung ("detect-and-repair" when               \
+     *  nothing degraded; Sheriff reports "full-isolation" /                  \
+     *  "partial-isolation" / "dissolved"; empty for the                      \
+     *  uninstrumented baselines). */                                         \
+    X(std::string, ladderRung, )                                              \
+    X(std::uint64_t, faultFires, 0) /**< injected faults that fired */        \
+    X(std::uint64_t, t2pAborts, 0)           /**< rolled-back conversions */  \
+    X(std::uint64_t, unrepairs, 0)           /**< repair rollbacks */         \
+    X(std::uint64_t, watchdogFlushes, 0)     /**< livelock force-commits */   \
+    X(std::uint64_t, cowFallbacks, 0)        /**< pages degraded to shared */ \
+    X(std::uint64_t, ladderDrops, 0)         /**< rung transitions taken */   \
+    X(std::uint64_t, ladderRecovers, 0)      /**< rungs climbed back up */    \
+    /** Ladder-transition invariant probe failures (see                       \
+     *  runtime/invariants.hh); nonzero means the runtime broke its           \
+     *  own transition contract even if results happen to be right. */        \
+    X(std::uint64_t, invariantViolations, 0)                                  \
+    /* Transactional telemetry (htm-elide; zero otherwise). */                \
+    X(std::uint64_t, txnCommits, 0)          /**< speculative commits */      \
+    X(std::uint64_t, txnAborts, 0)           /**< aborts, all causes */       \
+    X(std::uint64_t, txnFallbackLocks, 0)    /**< entries on the real lock */ \
+    /* Tail latency (workloads with a latencyHistogram(); zero for            \
+     * the batch kernels). */                                                 \
+    X(std::uint64_t, requests, 0) /**< completed requests recorded */         \
+    X(double, sojournP50, 0) /**< median sojourn, sim cycles */               \
+    X(double, sojournP99, 0)                                                  \
+    X(double, sojournP999, 0)                                                 \
+    /* Static repair (huron-static; zero/empty otherwise). Residual           \
+     * false sharing after the repair is hitmEvents -- the replay's           \
+     * coherence HITM count -- against planProfileHitms from the              \
+     * unrepaired profiling phase. */                                         \
+    X(std::uint64_t, planSites, 0)           /**< directives in the plan */   \
+    X(std::uint64_t, planAppliedSites, 0)    /**< allocations placed */       \
+    X(std::uint64_t, planPaddingBytes, 0)    /**< extra bytes of layout */    \
+    X(std::uint64_t, planRedirectedSites, 0) /**< with redirection tables */  \
+    X(std::uint64_t, planProfileHitms, 0)    /**< profiling-phase HITMs */    \
+    /** The plan the replay ran under (text format; --plan-out). */           \
+    X(std::string, planText, )                                                \
+    /* Trace counters (only when trace.enabled). */                           \
+    X(std::uint64_t, traceRecorded, 0) /**< events the recorder accepted */   \
+    X(std::uint64_t, traceOverwritten, 0) /**< lost to ring wraparound */
+
+/** Everything measured from one run: the durable list above plus the
+ *  debugging payloads, which are never journaled. */
 struct RunResult
 {
-    std::string workload;
-    Treatment treatment = Treatment::Pthreads;
-    RunOutcome outcome = RunOutcome::Completed;
-    bool valid = false;
-    /** Completed with correct results. */
-    bool compatible = false;
-    /** Workload end-state digest (chaos oracle): the workload's
-     *  resultDigest() over the shared committed view. Zero when the
-     *  run did not complete or the workload defines no digest. */
-    std::uint64_t resultDigest = 0;
-
-    Cycles cycles = 0;   //!< simulated makespan
-    double seconds = 0;  //!< cycles / cyclesPerSecond
-
-    std::uint64_t hitmEvents = 0;   //!< true coherence HITM count
-    std::uint64_t pebsRecords = 0;  //!< sampled records emitted
-    double fsEventsEstimated = 0;   //!< detector estimate
-    double tsEventsEstimated = 0;
-
-    bool repairActive = false;
-    Cycles repairStartCycles = 0;   //!< Table 3 "Unrepaired"
-    Cycles t2pCycles = 0;           //!< Table 3 "T2P"
-    std::uint64_t commits = 0;      //!< PTSB commits
-    double commitsPerSec = 0;       //!< Table 3 "Commits/s"
-    std::uint64_t pagesProtected = 0;
-    /** Racy-merge bytes (nonzero = the PTSB raced; Lemma 3.1). */
-    std::uint64_t conflictBytes = 0;
-
-    std::uint64_t appBytesPeak = 0;       //!< application memory
-    std::uint64_t overheadBytes = 0;      //!< runtime memory overhead
-    std::uint64_t softFaults = 0;
-    std::uint64_t memOps = 0;
-
-    /** @name Robustness telemetry (Tmi, Sheriff and LASER; zero /
-     *  empty for pthreads/manual) */
-    /// @{
-    /** Final degradation-ladder rung ("detect-and-repair" when
-     *  nothing degraded; Sheriff reports "full-isolation" /
-     *  "partial-isolation" / "dissolved"; empty for the
-     *  uninstrumented baselines). */
-    std::string ladderRung;
-    std::uint64_t faultFires = 0;      //!< injected faults that fired
-    std::uint64_t t2pAborts = 0;       //!< rolled-back conversions
-    std::uint64_t unrepairs = 0;       //!< repair rollbacks
-    std::uint64_t watchdogFlushes = 0; //!< livelock force-commits
-    std::uint64_t cowFallbacks = 0;    //!< pages degraded to shared
-    std::uint64_t ladderDrops = 0;     //!< rung transitions taken
-    std::uint64_t ladderRecovers = 0;  //!< rungs climbed back up
-    /** Ladder-transition invariant probe failures (see
-     *  runtime/invariants.hh); nonzero means the runtime broke its
-     *  own transition contract even if results happen to be right. */
-    std::uint64_t invariantViolations = 0;
-    /// @}
-
-    /** @name Transactional telemetry (htm-elide; zero otherwise) */
-    /// @{
-    std::uint64_t txnCommits = 0;       //!< speculative commits
-    std::uint64_t txnAborts = 0;        //!< aborts, all causes
-    std::uint64_t txnFallbackLocks = 0; //!< entries on the real lock
-    /// @}
-
-    /** @name Tail latency (workloads with a latencyHistogram();
-     *  zero for the batch kernels) */
-    /// @{
-    std::uint64_t requests = 0; //!< completed requests recorded
-    double sojournP50 = 0;      //!< median sojourn, simulated cycles
-    double sojournP99 = 0;
-    double sojournP999 = 0;
-    /// @}
-
-    /** @name Static repair (huron-static; zero/empty otherwise).
-     *  Residual false sharing after the repair is hitmEvents -- the
-     *  replay's coherence HITM count -- against planProfileHitms
-     *  from the unrepaired profiling phase. */
-    /// @{
-    std::uint64_t planSites = 0;          //!< directives in the plan
-    std::uint64_t planAppliedSites = 0;   //!< allocations placed
-    std::uint64_t planPaddingBytes = 0;   //!< extra bytes of layout
-    std::uint64_t planRedirectedSites = 0; //!< with redirection tables
-    std::uint64_t planProfileHitms = 0;   //!< profiling-phase HITMs
-    /** The plan the replay ran under (text format; --plan-out). */
-    std::string planText;
-    /// @}
+    TMI_RUN_RESULT_FIELDS(TMI_DECLARE_FIELD)
 
     /** Full stats dump (only when ExperimentConfig::dumpStats). */
     std::string statsText;
-
-    /** @name Observability capture (only when trace.enabled) */
-    /// @{
-    /** Time-ordered timeline drained from the recorder at run end. */
+    /** Time-ordered timeline drained from the recorder at run end
+     *  (only when trace.enabled). */
     std::vector<obs::TraceEvent> traceEvents;
-    /** Lifetime events accepted by the recorder. */
-    std::uint64_t traceRecorded = 0;
-    /** Events lost to per-thread ring wraparound. */
-    std::uint64_t traceOverwritten = 0;
-    /// @}
-
     /** Unified metrics registry built from every component's stats
      *  (populated when dumpStats or tracing is on; shared so
      *  RunResult stays copyable). */
@@ -258,6 +259,9 @@ struct RunResult
 
 /** Run one experiment cell. */
 RunResult runExperiment(const ExperimentConfig &config);
+
+/** "ok", or why not: "HANG", "DEADLOCK" or "WRONG" (results). */
+const char *outcomeStr(const RunResult &res);
 
 /** Speedup of @p treated relative to @p baseline (by sim time). */
 double speedup(const RunResult &baseline, const RunResult &treated);

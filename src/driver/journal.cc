@@ -1,12 +1,16 @@
 #include "journal.hh"
 
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <type_traits>
 
 #include <fcntl.h>
 #include <unistd.h>
+
+#include "common/fnv.hh"
 
 namespace tmi::driver
 {
@@ -14,46 +18,54 @@ namespace tmi::driver
 namespace
 {
 
-/** File magic: format name + version byte. Bumping the version is a
- *  clean break -- old journals recover as empty, jobs just re-run. */
-constexpr char kMagic[8] = {'T', 'M', 'I', 'J', 'R', 'N', 'L', '4'};
+/** File magic: format name + version byte. The version covers the
+ *  framing and the record header; the schema hash that follows it in
+ *  the header covers the RunResult field list. A journal of another
+ *  version or schema is refused, never reinterpreted or truncated. */
+constexpr char kMagic[8] = {'T', 'M', 'I', 'J', 'R', 'N', 'L', '5'};
+constexpr std::size_t kMagicPrefix = 7; //!< "TMIJRNL", version-free
+
+/** Header: magic + schema hash (u64 LE). */
+constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 8;
 
 /** Frames larger than this are treated as corruption, not records;
  *  a real record is a few hundred bytes of scalars and short
  *  strings. */
 constexpr std::uint32_t kMaxPayload = 1u << 20;
 
-/** @name Little-endian primitive (de)serializers */
+/** @name Typed little-endian (de)serializers
+ *  Integers travel in their own width, enums and bools as one byte,
+ *  doubles as their bit pattern, strings length-prefixed. */
 /// @{
+template <class T>
+    requires std::is_integral_v<T> || std::is_enum_v<T>
 void
-putU32(std::string &out, std::uint32_t v)
+put(std::string &out, T v)
 {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    constexpr std::size_t bytes = std::is_enum_v<T> ? 1 : sizeof(T);
+    for (std::size_t i = 0; i < bytes; ++i)
+        out.push_back(static_cast<char>(
+            static_cast<std::uint64_t>(v) >> (8 * i)));
 }
 
 void
-putU64(std::string &out, std::uint64_t v)
+put(std::string &out, double v)
 {
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    put(out, std::bit_cast<std::uint64_t>(v));
 }
 
 void
-putDouble(std::string &out, double v)
+put(std::string &out, const std::string &s)
 {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(out, bits);
-}
-
-void
-putString(std::string &out, const std::string &s)
-{
-    putU32(out, static_cast<std::uint32_t>(s.size()));
+    put(out, static_cast<std::uint32_t>(s.size()));
     out.append(s);
 }
+
+/** The largest valid value of each one-byte type. */
+unsigned maxOf(bool) { return 1; }
+unsigned maxOf(Treatment) { return allTreatments().size() - 1; }
+unsigned maxOf(RunOutcome) { return unsigned(RunOutcome::Deadlock); }
+unsigned maxOf(JobStatus) { return unsigned(JobStatus::Poisoned); }
 
 struct Cursor
 {
@@ -61,61 +73,64 @@ struct Cursor
     std::size_t pos = 0;
     bool ok = true;
 
-    bool
-    take(void *dst, std::size_t n)
-    {
-        if (!ok || pos + n > buf.size()) {
-            ok = false;
-            return false;
-        }
-        std::memcpy(dst, buf.data() + pos, n);
-        pos += n;
-        return true;
-    }
-
-    std::uint32_t
-    u32()
-    {
-        unsigned char b[4] = {};
-        take(b, 4);
-        return static_cast<std::uint32_t>(b[0]) | (b[1] << 8) |
-               (b[2] << 16) | (static_cast<std::uint32_t>(b[3]) << 24);
-    }
-
     std::uint64_t
-    u64()
+    le(std::size_t bytes)
     {
-        unsigned char b[8] = {};
-        take(b, 8);
         std::uint64_t v = 0;
-        for (int i = 7; i >= 0; --i)
-            v = (v << 8) | b[i];
-        return v;
-    }
-
-    double
-    f64()
-    {
-        std::uint64_t bits = u64();
-        double v = 0;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
-    }
-
-    std::string
-    str()
-    {
-        std::uint32_t n = u32();
-        if (!ok || n > kMaxPayload || pos + n > buf.size()) {
+        if (!ok || bytes > buf.size() - pos) {
             ok = false;
-            return {};
+            return 0;
         }
-        std::string s(buf, pos, n);
-        pos += n;
-        return s;
+        for (std::size_t i = 0; i < bytes; ++i)
+            v |= std::uint64_t(std::uint8_t(buf[pos + i])) << (8 * i);
+        pos += bytes;
+        return v;
     }
 };
+
+template <class T>
+    requires std::is_integral_v<T> || std::is_enum_v<T>
+void
+get(Cursor &c, T &v)
+{
+    if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+        // An out-of-range byte rejects the record: casting it would
+        // make a value the type does not have.
+        std::uint64_t b = c.le(1);
+        c.ok = c.ok && b <= maxOf(T{});
+        v = static_cast<T>(c.ok ? b : 0);
+    } else {
+        v = static_cast<T>(c.le(sizeof(T)));
+    }
+}
+
+void
+get(Cursor &c, double &v)
+{
+    v = std::bit_cast<double>(c.le(8));
+}
+
+void
+get(Cursor &c, std::string &s)
+{
+    std::uint64_t n = c.le(4);
+    if (!c.ok || n > c.buf.size() - c.pos) {
+        c.ok = false;
+        return;
+    }
+    s.assign(c.buf, c.pos, n);
+    c.pos += n;
+}
 /// @}
+
+/** The header this build writes: magic + schema hash. */
+std::string
+journalHeader()
+{
+    std::string header(kMagic, sizeof(kMagic));
+    put(header, journalSchemaHash());
+    return header;
+}
 
 /** Full write() with EINTR retry. */
 bool
@@ -159,6 +174,38 @@ crc32(const void *data, std::size_t size)
     return crc ^ 0xFFFFFFFFu;
 }
 
+std::uint64_t
+schemaHash(std::initializer_list<SchemaField> fields)
+{
+    Fnv1a h;
+    for (const SchemaField &f : fields)
+        h.str(f.name).str(f.type);
+    return h.h;
+}
+
+std::uint64_t
+journalSchemaHash()
+{
+    static const std::uint64_t hash =
+        schemaHash({TMI_RUN_RESULT_FIELDS(TMI_SCHEMA_FIELD)});
+    return hash;
+}
+
+std::string
+journalSchemaName()
+{
+    return std::string(kMagic, sizeof(kMagic)) + "/" +
+           hashHex(journalSchemaHash());
+}
+
+std::string
+schemaMismatchMessage(const std::string &path, const std::string &found)
+{
+    return path + ": journal schema " + found +
+           " differs from this build's " + journalSchemaName() +
+           "; use a fresh --journal-dir";
+}
+
 void
 JournalRecord::restore(JobResult &out) const
 {
@@ -176,72 +223,26 @@ JournalRecord::capture(std::uint64_t globalId, const JobResult &r)
     rec.status = r.status;
     rec.attempts = r.attempts;
     rec.error = r.error;
-    rec.run = r.run;
-    // Strip the non-durable debugging payloads (see file comment).
-    rec.run.traceEvents.clear();
-    rec.run.statsText.clear();
-    rec.run.metrics.reset();
+    // Only the durable fields: the debugging payloads (see file
+    // comment) stay behind.
+#define TMI_COPY_FIELD(type, name, ...) rec.run.name = r.run.name;
+    TMI_RUN_RESULT_FIELDS(TMI_COPY_FIELD)
+#undef TMI_COPY_FIELD
     return rec;
 }
 
 std::string
 encodeRecord(const JournalRecord &rec)
 {
-    const RunResult &r = rec.run;
     std::string out;
     out.reserve(256);
-    putU64(out, rec.jobId);
-    out.push_back(static_cast<char>(rec.status));
-    putU32(out, rec.attempts);
-    putString(out, rec.error);
-
-    putString(out, r.workload);
-    out.push_back(static_cast<char>(r.treatment));
-    out.push_back(static_cast<char>(r.outcome));
-    out.push_back(r.valid ? 1 : 0);
-    out.push_back(r.compatible ? 1 : 0);
-    out.push_back(r.repairActive ? 1 : 0);
-    putU64(out, r.resultDigest);
-    putU64(out, r.cycles);
-    putDouble(out, r.seconds);
-    putU64(out, r.hitmEvents);
-    putU64(out, r.pebsRecords);
-    putDouble(out, r.fsEventsEstimated);
-    putDouble(out, r.tsEventsEstimated);
-    putU64(out, r.repairStartCycles);
-    putU64(out, r.t2pCycles);
-    putU64(out, r.commits);
-    putDouble(out, r.commitsPerSec);
-    putU64(out, r.pagesProtected);
-    putU64(out, r.conflictBytes);
-    putU64(out, r.appBytesPeak);
-    putU64(out, r.overheadBytes);
-    putU64(out, r.softFaults);
-    putU64(out, r.memOps);
-    putString(out, r.ladderRung);
-    putU64(out, r.faultFires);
-    putU64(out, r.t2pAborts);
-    putU64(out, r.unrepairs);
-    putU64(out, r.watchdogFlushes);
-    putU64(out, r.cowFallbacks);
-    putU64(out, r.ladderDrops);
-    putU64(out, r.ladderRecovers);
-    putU64(out, r.invariantViolations);
-    putU64(out, r.traceRecorded);
-    putU64(out, r.traceOverwritten);
-    putU64(out, r.requests);
-    putDouble(out, r.sojournP50);
-    putDouble(out, r.sojournP99);
-    putDouble(out, r.sojournP999);
-    putU64(out, r.planSites);
-    putU64(out, r.planAppliedSites);
-    putU64(out, r.planPaddingBytes);
-    putU64(out, r.planRedirectedSites);
-    putU64(out, r.planProfileHitms);
-    putString(out, r.planText);
-    putU64(out, r.txnCommits);
-    putU64(out, r.txnAborts);
-    putU64(out, r.txnFallbackLocks);
+    put(out, rec.jobId);
+    put(out, rec.status);
+    put(out, rec.attempts);
+    put(out, rec.error);
+#define TMI_PUT_FIELD(type, name, ...) put(out, rec.run.name);
+    TMI_RUN_RESULT_FIELDS(TMI_PUT_FIELD)
+#undef TMI_PUT_FIELD
     return out;
 }
 
@@ -250,71 +251,13 @@ decodeRecord(const std::string &payload, JournalRecord &out)
 {
     Cursor c{payload};
     out = {};
-    out.jobId = c.u64();
-    char status = 0;
-    c.take(&status, 1);
-    if (status < 0 ||
-        status > static_cast<char>(JobStatus::Poisoned)) {
-        return false;
-    }
-    out.status = static_cast<JobStatus>(status);
-    out.attempts = c.u32();
-    out.error = c.str();
-
-    RunResult &r = out.run;
-    r.workload = c.str();
-    char treatment = 0, outcome = 0, flag = 0;
-    c.take(&treatment, 1);
-    r.treatment = static_cast<Treatment>(treatment);
-    c.take(&outcome, 1);
-    r.outcome = static_cast<RunOutcome>(outcome);
-    c.take(&flag, 1);
-    r.valid = flag != 0;
-    c.take(&flag, 1);
-    r.compatible = flag != 0;
-    c.take(&flag, 1);
-    r.repairActive = flag != 0;
-    r.resultDigest = c.u64();
-    r.cycles = c.u64();
-    r.seconds = c.f64();
-    r.hitmEvents = c.u64();
-    r.pebsRecords = c.u64();
-    r.fsEventsEstimated = c.f64();
-    r.tsEventsEstimated = c.f64();
-    r.repairStartCycles = c.u64();
-    r.t2pCycles = c.u64();
-    r.commits = c.u64();
-    r.commitsPerSec = c.f64();
-    r.pagesProtected = c.u64();
-    r.conflictBytes = c.u64();
-    r.appBytesPeak = c.u64();
-    r.overheadBytes = c.u64();
-    r.softFaults = c.u64();
-    r.memOps = c.u64();
-    r.ladderRung = c.str();
-    r.faultFires = c.u64();
-    r.t2pAborts = c.u64();
-    r.unrepairs = c.u64();
-    r.watchdogFlushes = c.u64();
-    r.cowFallbacks = c.u64();
-    r.ladderDrops = c.u64();
-    r.ladderRecovers = c.u64();
-    r.invariantViolations = c.u64();
-    r.traceRecorded = c.u64();
-    r.traceOverwritten = c.u64();
-    r.requests = c.u64();
-    r.sojournP50 = c.f64();
-    r.sojournP99 = c.f64();
-    r.sojournP999 = c.f64();
-    r.planSites = c.u64();
-    r.planAppliedSites = c.u64();
-    r.planPaddingBytes = c.u64();
-    r.planRedirectedSites = c.u64();
-    r.planProfileHitms = c.u64();
-    r.planText = c.str();
-    r.txnCommits = c.u64();
-    r.txnAborts = c.u64();
-    r.txnFallbackLocks = c.u64();
+    get(c, out.jobId);
+    get(c, out.status);
+    get(c, out.attempts);
+    get(c, out.error);
+#define TMI_GET_FIELD(type, name, ...) get(c, out.run.name);
+    TMI_RUN_RESULT_FIELDS(TMI_GET_FIELD)
+#undef TMI_GET_FIELD
     // The payload must be exactly one record: trailing bytes mean a
     // framing bug or a foreign format, both grounds for rejection.
     return c.ok && c.pos == payload.size();
@@ -349,15 +292,13 @@ readFrame(int fd, std::uint64_t offset, std::uint64_t fileSize,
 {
     if (offset + 8 > fileSize)
         return false;
-    unsigned char hdr[8];
-    if (!preadAll(fd, hdr, sizeof(hdr), offset))
+    std::string hdr(8, '\0');
+    if (!preadAll(fd, hdr.data(), hdr.size(), offset))
         return false;
-    std::uint32_t len = static_cast<std::uint32_t>(hdr[0]) |
-                        (hdr[1] << 8) | (hdr[2] << 16) |
-                        (static_cast<std::uint32_t>(hdr[3]) << 24);
-    std::uint32_t crc = static_cast<std::uint32_t>(hdr[4]) |
-                        (hdr[5] << 8) | (hdr[6] << 16) |
-                        (static_cast<std::uint32_t>(hdr[7]) << 24);
+    Cursor c{hdr};
+    std::uint32_t len = 0, crc = 0;
+    get(c, len);
+    get(c, crc);
     if (len == 0 || len > kMaxPayload || offset + 8 + len > fileSize)
         return false;
     std::string payload(len, '\0');
@@ -386,16 +327,29 @@ scanJournal(const std::string &path,
     off_t end = ::lseek(fd, 0, SEEK_END);
     std::uint64_t size = end > 0 ? static_cast<std::uint64_t>(end) : 0;
 
-    char magic[sizeof(kMagic)];
-    if (size < sizeof(kMagic) ||
-        !preadAll(fd, magic, sizeof(magic), 0) ||
-        std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-        // Wrong/zero-length magic: the whole file is torn.
+    std::string header(kHeaderBytes, '\0');
+    if (size < kHeaderBytes ||
+        !preadAll(fd, header.data(), header.size(), 0) ||
+        header.compare(0, kMagicPrefix, kMagic, kMagicPrefix) != 0) {
+        // Torn before the header survived, or not a journal at all:
+        // the whole file is torn.
         rec.tornBytes = size;
         ::close(fd);
         return rec;
     }
-    rec.validBytes = sizeof(kMagic);
+    if (header != journalHeader()) {
+        // A journal of another format or result schema: its records
+        // cannot be decoded here, and truncating would destroy them.
+        rec.schemaMismatch = true;
+        rec.foundSchema = header.substr(0, sizeof(kMagic));
+        if (header[kMagicPrefix] == kMagic[kMagicPrefix]) {
+            Cursor c{header, sizeof(kMagic)};
+            rec.foundSchema += "/" + hashHex(c.le(8));
+        }
+        ::close(fd);
+        return rec;
+    }
+    rec.validBytes = kHeaderBytes;
 
     JournalRecord record;
     std::uint64_t frame = 0;
@@ -481,21 +435,26 @@ JournalWriter::open()
 {
     close();
     _recovered = recoverJournal(_path);
+    if (_recovered.schemaMismatch) {
+        _error = schemaMismatchMessage(_path, _recovered.foundSchema);
+        return false;
+    }
     _fd = ::open(_path.c_str(), O_WRONLY | O_CREAT, 0644);
     if (_fd < 0) {
         _error = _path + ": " + std::strerror(errno);
         return false;
     }
     if (!_recovered.existed || _recovered.validBytes == 0) {
-        // Fresh file (or one torn before the magic survived).
+        // Fresh file (or one torn before the header survived).
+        std::string header = journalHeader();
         if (::ftruncate(_fd, 0) != 0 ||
-            !writeAll(_fd, kMagic, sizeof(kMagic))) {
+            !writeAll(_fd, header.data(), header.size())) {
             _error = _path + ": " + std::strerror(errno);
             close();
             return false;
         }
         _recovered.records.clear();
-        _recovered.validBytes = sizeof(kMagic);
+        _recovered.validBytes = kHeaderBytes;
     } else if (_recovered.tornBytes > 0) {
         // Drop the torn tail so new records never follow garbage.
         if (::ftruncate(_fd,
@@ -524,8 +483,8 @@ JournalWriter::append(const JournalRecord &record)
     std::string payload = encodeRecord(record);
     std::string frame;
     frame.reserve(payload.size() + 8);
-    putU32(frame, static_cast<std::uint32_t>(payload.size()));
-    putU32(frame, crc32(payload.data(), payload.size()));
+    put(frame, static_cast<unsigned>(payload.size()));
+    put(frame, static_cast<unsigned>(crc32(payload.data(), payload.size())));
     frame.append(payload);
     if (!writeAll(_fd, frame.data(), frame.size())) {
         _error = _path + ": " + std::strerror(errno);

@@ -8,7 +8,7 @@
  * built for exactly one threat model: the writer (or the whole
  * machine) dies mid-byte at an arbitrary point.
  *
- *   file   := magic(8) record*
+ *   file   := magic(8) schemaHash(u64 LE) record*
  *   record := payloadLen(u32 LE) crc32(u32 LE, over payload) payload
  *
  * Recovery scans from the front and stops at the first record whose
@@ -25,11 +25,13 @@
  * source of truth; the checkpoint is advisory (recovery cross-checks
  * it and trusts the CRC scan on disagreement).
  *
- * Records carry the *global* job id plus every RunResult scalar the
- * CSV schemas and the chaos oracle consume. Trace timelines, stats
- * dumps and metrics registries are deliberately not journaled: they
- * are debugging payloads, not results, and would turn flat-memory
- * streaming back into buffering.
+ * Records carry the *global* job id plus every durable RunResult
+ * field (TMI_RUN_RESULT_FIELDS), whose names and types the header's
+ * schema hash covers: a journal of another schema or magic version is
+ * refused, never misread or truncated. Trace timelines, stats dumps
+ * and metrics registries are not journaled: they are debugging
+ * payloads, not results, and would turn flat-memory streaming back
+ * into buffering.
  */
 
 #ifndef TMI_DRIVER_JOURNAL_HH
@@ -37,6 +39,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -75,6 +78,30 @@ bool decodeRecord(const std::string &payload, JournalRecord &out);
 std::uint32_t crc32(const void *data, std::size_t size);
 /// @}
 
+/** @name Result schema identity */
+/// @{
+/** One field-list entry's name and declared type. */
+struct SchemaField
+{
+    const char *name;
+    const char *type;
+};
+#define TMI_SCHEMA_FIELD(type, name, ...) SchemaField{#name, #type},
+
+/** FNV-1a over @p fields' names and types, in order. */
+std::uint64_t schemaHash(std::initializer_list<SchemaField> fields);
+
+/** schemaHash of TMI_RUN_RESULT_FIELDS: the journal header's. */
+std::uint64_t journalSchemaHash();
+
+/** This build's schema as messages name it: "<magic>/<hash hex>". */
+std::string journalSchemaName();
+
+/** Why the journal at @p path, of schema @p found, is refused. */
+std::string schemaMismatchMessage(const std::string &path,
+                                  const std::string &found);
+/// @}
+
 /** What a recovery scan found in one journal file. */
 struct JournalRecovery
 {
@@ -88,6 +115,11 @@ struct JournalRecovery
     bool existed = false;
     /** The `.ckpt` meta disagreed with the scan (advisory only). */
     bool checkpointStale = false;
+    /** A journal of another version or schema: nothing was read and
+     *  the writer must not touch it. foundSchema names it like
+     *  journalSchemaName() (just "TMIJRNL3" for another version). */
+    bool schemaMismatch = false;
+    std::string foundSchema;
 };
 
 /**
@@ -95,9 +127,10 @@ struct JournalRecovery
  * each CRC-valid record to @p fn together with its file offset --
  * one record in memory at a time, so a scan over an arbitrarily
  * large journal stays flat. The returned recovery carries the
- * metadata only (records empty). Never throws: an unreadable or
- * empty file yields an empty recovery; a corrupt tail is measured,
- * not fatal. @p fn may be null (pure validation scan).
+ * metadata only (records empty). Never throws: an unreadable file,
+ * or one torn inside its header, yields an empty recovery; a corrupt
+ * tail is measured, not fatal. @p fn may be null (pure validation
+ * scan).
  */
 JournalRecovery scanJournal(
     const std::string &path,
@@ -134,7 +167,8 @@ class JournalWriter
     JournalWriter &operator=(const JournalWriter &) = delete;
 
     /** Recover + open for append; false (with a message in
-     *  lastError()) when the file cannot be created. */
+     *  lastError()) when the file cannot be created or holds a
+     *  journal of another schema. */
     bool open();
 
     /** Records already durable when open() ran. */

@@ -1,7 +1,5 @@
 #include "sink.hh"
 
-#include <cstdio>
-
 #include <unistd.h>
 
 #include "workloads/params.hh"
@@ -9,121 +7,128 @@
 namespace tmi::driver
 {
 
-const char *
-sweepCsvHeader()
-{
-    return "job_id,workload,treatment,threads,scale,period,"
-           "fault_point,fault_rate,seed,status,attempts,error,"
-           "outcome,valid,rung,cycles,seconds,hitm_events,"
-           "pebs_records,pages_protected,commits,conflict_bytes,"
-           "fault_fires,t2p_aborts,unrepairs,watchdog_flushes,"
-           "cow_fallbacks,ladder_drops,params,requests,"
-           "sojourn_p50,sojourn_p99,sojourn_p999,plan_sites,"
-           "plan_applied,plan_padding_bytes,plan_redirected,"
-           "plan_profile_hitms,placement,txn_commits,txn_aborts,"
-           "abort_rate,fallback_locks";
-}
-
 namespace
 {
 
-const char *
-outcomeStr(RunOutcome outcome)
+using R = JobResult;
+
+template <auto Field>
+std::string
+runInt(const R &r)
 {
-    switch (outcome) {
-      case RunOutcome::Completed:
-        return "completed";
-      case RunOutcome::Timeout:
-        return "timeout";
-      case RunOutcome::Deadlock:
-        return "deadlock";
-    }
-    return "?";
+    return std::to_string(r.job.config.run.*Field);
 }
 
-/** CSV cells must not sprout new columns or rows. */
+constexpr char kSeconds[] = "%.9f";
+constexpr char kSojourn[] = "%.3f";
+
+/** A RunResult double in format @p Fmt, zeroed unless the job ran. */
+template <auto Field, const char *Fmt>
 std::string
-sanitize(std::string s)
+okFixed(const R &r)
 {
-    for (char &c : s) {
-        if (c == ',' || c == '\n' || c == '\r')
-            c = ';';
-    }
-    return s;
+    return strprintf(Fmt, r.status == JobStatus::Ok ? r.run.*Field : 0.0);
 }
+
+const CsvColumn<R> kSweepColumns[] = {
+    {"job_id", [](const R &r) { return std::to_string(r.job.id); }},
+    {"workload", [](const R &r) { return r.job.config.run.workload; }},
+    {"treatment",
+     [](const R &r) -> std::string {
+         return treatmentName(r.job.config.run.treatment);
+     }},
+    {"threads", runInt<&ExperimentConfig::threads>},
+    {"scale", runInt<&ExperimentConfig::scale>},
+    {"period", runInt<&ExperimentConfig::perfPeriod>},
+    {"fault_point",
+     [](const R &r) {
+         return dashUnless(!r.job.faultPoint.empty(), r.job.faultPoint);
+     }},
+    {"fault_rate",
+     [](const R &r) { return strprintf("%.4f", r.job.faultRate); }},
+    {"seed", runInt<&ExperimentConfig::seed>},
+    {"status",
+     [](const R &r) -> std::string { return jobStatusName(r.status); }},
+    {"attempts", [](const R &r) { return std::to_string(r.attempts); }},
+    {"error",
+     [](const R &r) {
+         return dashUnless(!r.error.empty(), csvSanitize(r.error));
+     }},
+    {"outcome",
+     [](const R &r) {
+         return dashUnless(r.status == JobStatus::Ok,
+                           outcomeName(r.run.outcome));
+     }},
+    {"valid",
+     [](const R &r) {
+         return std::to_string(r.status == JobStatus::Ok && r.run.valid);
+     }},
+    {"rung",
+     [](const R &r) {
+         return dashUnless(
+             r.status == JobStatus::Ok && !r.run.ladderRung.empty(),
+             r.run.ladderRung);
+     }},
+    {"cycles", okCount<&RunResult::cycles>},
+    {"seconds", okFixed<&RunResult::seconds, kSeconds>},
+    {"hitm_events", okCount<&RunResult::hitmEvents>},
+    {"pebs_records", okCount<&RunResult::pebsRecords>},
+    {"pages_protected", okCount<&RunResult::pagesProtected>},
+    {"commits", okCount<&RunResult::commits>},
+    {"conflict_bytes", okCount<&RunResult::conflictBytes>},
+    {"fault_fires", okCount<&RunResult::faultFires>},
+    {"t2p_aborts", okCount<&RunResult::t2pAborts>},
+    {"unrepairs", okCount<&RunResult::unrepairs>},
+    {"watchdog_flushes", okCount<&RunResult::watchdogFlushes>},
+    {"cow_fallbacks", okCount<&RunResult::cowFallbacks>},
+    {"ladder_drops", okCount<&RunResult::ladderDrops>},
+    // From the job config, not the journaled result, so shards
+    // reproduce it bit-for-bit without journaling the strings.
+    {"params",
+     [](const R &r) {
+         return csvSanitize(canonicalParamText(r.job.config.run.params));
+     }},
+    {"requests", okCount<&RunResult::requests>},
+    {"sojourn_p50", okFixed<&RunResult::sojournP50, kSojourn>},
+    {"sojourn_p99", okFixed<&RunResult::sojournP99, kSojourn>},
+    {"sojourn_p999", okFixed<&RunResult::sojournP999, kSojourn>},
+    {"plan_sites", okCount<&RunResult::planSites>},
+    {"plan_applied", okCount<&RunResult::planAppliedSites>},
+    {"plan_padding_bytes", okCount<&RunResult::planPaddingBytes>},
+    {"plan_redirected", okCount<&RunResult::planRedirectedSites>},
+    {"plan_profile_hitms", okCount<&RunResult::planProfileHitms>},
+    {"placement",
+     [](const R &r) -> std::string {
+         return placementName(r.job.config.run.placement);
+     }},
+    {"txn_commits", okCount<&RunResult::txnCommits>},
+    {"txn_aborts", okCount<&RunResult::txnAborts>},
+    // Abort rate as a fraction of txn attempts: the placement
+    // sensitivity tables compare this across policies.
+    {"abort_rate",
+     [](const R &r) {
+         std::uint64_t tries = r.status == JobStatus::Ok
+                                   ? r.run.txnCommits + r.run.txnAborts
+                                   : 0;
+         return strprintf("%.4f",
+                          tries ? 1.0 * r.run.txnAborts / tries : 0.0);
+     }},
+    {"fallback_locks", okCount<&RunResult::txnFallbackLocks>},
+};
 
 } // namespace
+
+const char *
+sweepCsvHeader()
+{
+    static const std::string header = csvHeader(kSweepColumns);
+    return header.c_str();
+}
 
 std::string
 sweepCsvRow(const JobResult &r)
 {
-    const ExperimentConfig &run = r.job.config.run;
-    bool ok = r.status == JobStatus::Ok;
-    // The params cell comes from the job config, not the journaled
-    // result, so shards reproduce it bit-for-bit without journaling
-    // the strings.
-    std::string params = sanitize(canonicalParamText(run.params));
-    // Abort rate as a fraction of txn attempts: the placement
-    // sensitivity tables compare this across policies.
-    std::uint64_t txn_tries =
-        ok ? r.run.txnCommits + r.run.txnAborts : 0;
-    double abort_rate =
-        txn_tries ? static_cast<double>(r.run.txnAborts) /
-                        static_cast<double>(txn_tries)
-                  : 0.0;
-    char buf[896];
-    std::snprintf(
-        buf, sizeof(buf),
-        "%llu,%s,%s,%u,%llu,%llu,%s,%.4f,%llu,%s,%u,%s,"
-        "%s,%d,%s,%llu,%.9f,%llu,%llu,%llu,%llu,%llu,"
-        "%llu,%llu,%llu,%llu,%llu,%llu,%s,%llu,%.3f,%.3f,%.3f,"
-        "%llu,%llu,%llu,%llu,%llu,%s,%llu,%llu,%.4f,%llu",
-        static_cast<unsigned long long>(r.job.id),
-        run.workload.c_str(), treatmentName(run.treatment),
-        run.threads, static_cast<unsigned long long>(run.scale),
-        static_cast<unsigned long long>(run.perfPeriod),
-        r.job.faultPoint.empty() ? "-" : r.job.faultPoint.c_str(),
-        r.job.faultRate, static_cast<unsigned long long>(run.seed),
-        jobStatusName(r.status), r.attempts,
-        r.error.empty() ? "-" : sanitize(r.error).c_str(),
-        ok ? outcomeStr(r.run.outcome) : "-", ok && r.run.valid,
-        ok && !r.run.ladderRung.empty() ? r.run.ladderRung.c_str()
-                                        : "-",
-        static_cast<unsigned long long>(ok ? r.run.cycles : 0),
-        ok ? r.run.seconds : 0.0,
-        static_cast<unsigned long long>(ok ? r.run.hitmEvents : 0),
-        static_cast<unsigned long long>(ok ? r.run.pebsRecords : 0),
-        static_cast<unsigned long long>(ok ? r.run.pagesProtected
-                                           : 0),
-        static_cast<unsigned long long>(ok ? r.run.commits : 0),
-        static_cast<unsigned long long>(ok ? r.run.conflictBytes : 0),
-        static_cast<unsigned long long>(ok ? r.run.faultFires : 0),
-        static_cast<unsigned long long>(ok ? r.run.t2pAborts : 0),
-        static_cast<unsigned long long>(ok ? r.run.unrepairs : 0),
-        static_cast<unsigned long long>(ok ? r.run.watchdogFlushes
-                                           : 0),
-        static_cast<unsigned long long>(ok ? r.run.cowFallbacks : 0),
-        static_cast<unsigned long long>(ok ? r.run.ladderDrops : 0),
-        params.c_str(),
-        static_cast<unsigned long long>(ok ? r.run.requests : 0),
-        ok ? r.run.sojournP50 : 0.0, ok ? r.run.sojournP99 : 0.0,
-        ok ? r.run.sojournP999 : 0.0,
-        static_cast<unsigned long long>(ok ? r.run.planSites : 0),
-        static_cast<unsigned long long>(ok ? r.run.planAppliedSites
-                                           : 0),
-        static_cast<unsigned long long>(ok ? r.run.planPaddingBytes
-                                           : 0),
-        static_cast<unsigned long long>(ok ? r.run.planRedirectedSites
-                                           : 0),
-        static_cast<unsigned long long>(ok ? r.run.planProfileHitms
-                                           : 0),
-        placementName(run.placement),
-        static_cast<unsigned long long>(ok ? r.run.txnCommits : 0),
-        static_cast<unsigned long long>(ok ? r.run.txnAborts : 0),
-        abort_rate,
-        static_cast<unsigned long long>(ok ? r.run.txnFallbackLocks
-                                           : 0));
-    return buf;
+    return csvRow(kSweepColumns, r);
 }
 
 SweepCsvSink::SweepCsvSink(std::ostream &os) : _os(&os)

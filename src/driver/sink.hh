@@ -20,6 +20,7 @@
 #include <functional>
 #include <ostream>
 
+#include "core/csv.hh"
 #include "driver/sweep.hh"
 
 namespace tmi::driver
@@ -41,6 +42,16 @@ const char *sweepCsvHeader();
 /** One result as a schema row (no trailing newline). Commas and
  *  newlines in the error message are sanitized to ';'. */
 std::string sweepCsvRow(const JobResult &result);
+
+/** A RunResult counter cell, zeroed unless @p row's job ran ok.
+ *  Shared by the sweep and chaos column tables (both rows carry a
+ *  `status` and a `run`). */
+template <auto Field, class Row>
+std::string
+okCount(const Row &row)
+{
+    return std::to_string(row.status == JobStatus::Ok ? row.run.*Field : 0);
+}
 /// @}
 
 /**
@@ -94,26 +105,6 @@ class FunctionSink : public ResultSink
 
   private:
     std::function<void(const JobResult &)> _fn;
-};
-
-/** Fans one result stream out to several sinks, in order. */
-class TeeSink : public ResultSink
-{
-  public:
-    explicit TeeSink(std::vector<ResultSink *> sinks)
-        : _sinks(std::move(sinks))
-    {
-    }
-
-    void
-    onResult(const JobResult &result) override
-    {
-        for (ResultSink *sink : _sinks)
-            sink->onResult(result);
-    }
-
-  private:
-    std::vector<ResultSink *> _sinks;
 };
 
 } // namespace tmi::driver

@@ -1,15 +1,18 @@
 #include "supervisor.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -21,6 +24,8 @@
 #include <sys/prctl.h>
 #endif
 
+#include "common/fnv.hh"
+
 namespace tmi::driver
 {
 
@@ -29,29 +34,76 @@ namespace
 
 constexpr char kManifestName[] = "MANIFEST";
 
-/** FNV-1a, the same mixing the fault injector uses for seeds. */
-std::uint64_t
-fnv1a(std::uint64_t h, const void *data, std::size_t size)
+/** Hashes one job-config value, of any field type on the lists. */
+template <class T>
+void
+mix(Fnv1a &h, const T &v)
 {
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ull;
+    if constexpr (std::is_same_v<T, std::string>) {
+        h.str(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+        h.u64(std::bit_cast<std::uint64_t>(v));
+    } else if constexpr (std::is_integral_v<T> || std::is_enum_v<T>) {
+        h.u64(static_cast<std::uint64_t>(v));
+    } else if constexpr (requires { v.second; }) {
+        mix(h, v.first);
+        mix(h, v.second);
+    } else if constexpr (requires { v.size(); }) {
+        h.u64(v.size());
+        for (const auto &e : v)
+            mix(h, e);
+    } else if constexpr (std::is_same_v<T, FaultSpec>) {
+        // The structured bindings stop compiling when a field is
+        // added, so the fingerprint cannot silently skip it.
+        const auto &[probability, fireAt, everyNth, maxFires,
+                     windowStart, windowEnd, burstLen, burstPeriod] = v;
+        mix(h, probability);
+        for (std::uint64_t u : {fireAt, everyNth, maxFires, windowStart,
+                                windowEnd, burstLen, burstPeriod})
+            mix(h, u);
+    } else {
+        static_assert(std::is_same_v<T, obs::TraceConfig>);
+        const auto &[enabled, ringCapacity] = v;
+        mix(h, enabled);
+        mix(h, ringCapacity);
     }
-    return h;
 }
 
+/** One field's values across every job, hashed in job order. */
+template <class Get>
 std::uint64_t
-fnv1aU64(std::uint64_t h, std::uint64_t v)
+digestOf(const std::vector<Job> &jobs, Get get)
 {
-    return fnv1a(h, &v, sizeof(v));
+    Fnv1a h;
+    for (const Job &job : jobs)
+        mix(h, get(job));
+    return h.h;
 }
 
-std::uint64_t
-fnv1aStr(std::uint64_t h, const std::string &s)
+/** (name, digest) of every job-config field a resume must reproduce:
+ *  each ExperimentConfig list field ("run.*"), the fault axis echo
+ *  ("job.*") and tmi.robust.recoverUpWindows, each hashed over all
+ *  jobs in order. */
+std::vector<std::pair<std::string, std::uint64_t>>
+fieldDigests(const std::vector<Job> &jobs)
 {
-    h = fnv1aU64(h, s.size());
-    return fnv1a(h, s.data(), s.size());
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+#define TMI_DIGEST(label, field)                                              \
+    out.emplace_back(label,                                                   \
+                     digestOf(jobs, [](const Job &j) -> const auto & {        \
+                         return j.field;                                      \
+                     }));
+#define TMI_DIGEST_RUN_FIELD(type, name, ...)                                 \
+    TMI_DIGEST("run." #name, config.run.name)
+    TMI_EXPERIMENT_CONFIG_FIELDS(TMI_DIGEST_RUN_FIELD)
+    TMI_DIGEST("job.faultPoint", faultPoint)
+    TMI_DIGEST("job.faultRate", faultRate)
+    // The one deep-template field a CLI sets (tmi-chaos --recover-up).
+    TMI_DIGEST("tmi.robust.recoverUpWindows",
+               config.tmi.robust.recoverUpWindows)
+#undef TMI_DIGEST_RUN_FIELD
+#undef TMI_DIGEST
+    return out;
 }
 
 /** mkdir -p, POSIX-only (no <filesystem> in the child path). */
@@ -146,25 +198,11 @@ ShardSupervisor::shardRange(std::uint64_t jobs, unsigned shards,
 std::uint64_t
 ShardSupervisor::fingerprintJobs(const std::vector<Job> &jobs)
 {
-    std::uint64_t h = 1469598103934665603ull; // FNV offset basis
-    h = fnv1aU64(h, jobs.size());
-    for (const Job &job : jobs) {
-        const ExperimentConfig &run = job.config.run;
-        h = fnv1aStr(h, run.workload);
-        h = fnv1aU64(h, static_cast<std::uint64_t>(run.treatment));
-        h = fnv1aU64(h, run.threads);
-        h = fnv1aU64(h, run.scale);
-        h = fnv1aU64(h, run.perfPeriod);
-        h = fnv1aU64(h, run.seed);
-        h = fnv1aU64(h, run.budget);
-        h = fnv1aStr(h, job.faultPoint);
-        std::uint64_t rate_bits = 0;
-        static_assert(sizeof(rate_bits) == sizeof(job.faultRate));
-        std::memcpy(&rate_bits, &job.faultRate, sizeof(rate_bits));
-        h = fnv1aU64(h, rate_bits);
-        h = fnv1aU64(h, run.faults.size());
-    }
-    return h;
+    Fnv1a h;
+    h.u64(jobs.size());
+    for (const auto &[name, digest] : fieldDigests(jobs))
+        h.str(name).u64(digest);
+    return h.h;
 }
 
 std::string
@@ -177,25 +215,61 @@ ShardSupervisor::journalPath(const std::string &dir, unsigned shard)
 
 void
 ShardSupervisor::writeManifest(const std::string &path,
-                               std::uint64_t jobs,
-                               std::uint64_t fingerprint) const
+                               const std::vector<Job> &jobs) const
 {
+    std::string text = std::string("tmi-campaign-manifest v1\n") +
+                       "jobs=" + std::to_string(jobs.size()) + "\n" +
+                       "shards=" + std::to_string(_opts.shards) + "\n" +
+                       "fingerprint=" + hashHex(fingerprintJobs(jobs)) +
+                       "\n";
+    // Per-field digests after the fingerprint, so a refused resume
+    // can name what changed.
+    for (const auto &[name, digest] : fieldDigests(jobs))
+        text += "field." + name + "=" + hashHex(digest) + "\n";
     std::string tmp = path + ".tmp";
     int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0)
         throw std::runtime_error(tmp + ": " + std::strerror(errno));
-    char buf[192];
-    int n = std::snprintf(buf, sizeof(buf),
-                          "tmi-campaign-manifest v1\n"
-                          "jobs=%" PRIu64 "\n"
-                          "shards=%u\n"
-                          "fingerprint=%016" PRIx64 "\n",
-                          jobs, _opts.shards, fingerprint);
-    bool ok = ::write(fd, buf, static_cast<std::size_t>(n)) == n &&
+    bool ok = ::write(fd, text.data(), text.size()) ==
+                  static_cast<ssize_t>(text.size()) &&
               ::fsync(fd) == 0;
     ::close(fd);
     if (!ok || ::rename(tmp.c_str(), path.c_str()) != 0)
         throw std::runtime_error(path + ": " + std::strerror(errno));
+}
+
+unsigned
+ShardSupervisor::checkManifest(const std::string &path,
+                               const std::vector<Job> &jobs) const
+{
+    std::ifstream in(path);
+    std::map<std::string, std::string> kv;
+    for (std::string line; std::getline(in, line);) {
+        std::size_t eq = line.find('=');
+        if (eq != std::string::npos)
+            kv[line.substr(0, eq)] = line.substr(eq + 1);
+    }
+    auto shards = std::strtoul(kv["shards"].c_str(), nullptr, 10);
+    if (!in.eof() || kv["fingerprint"].empty() || shards == 0)
+        throw std::runtime_error(path + ": unreadable");
+    if (kv["fingerprint"] != hashHex(fingerprintJobs(jobs))) {
+        // Name what changed: the job count, else each field whose
+        // recorded digest differs.
+        bool same_count = kv["jobs"] == std::to_string(jobs.size());
+        std::string changed = same_count ? "" : "the job count";
+        for (const auto &[name, digest] : fieldDigests(jobs)) {
+            auto it = kv.find("field." + name);
+            if (same_count && it != kv.end() &&
+                it->second != hashHex(digest))
+                changed += (changed.empty() ? "" : ", ") + name;
+        }
+        throw std::runtime_error(
+            path + ": spec mismatch" +
+            (changed.empty() ? "" : " in " + changed) +
+            " (the resume spec must expand to the journaled campaign;"
+            " use a fresh --journal-dir to run it)");
+    }
+    return static_cast<unsigned>(shards);
 }
 
 void
@@ -376,8 +450,6 @@ ShardSupervisor::run(std::vector<Job> jobs, ResultSink *sink)
     // Delivery order is input order, like Runner::run.
     for (std::size_t i = 0; i < jobs.size(); ++i)
         jobs[i].id = i;
-    std::uint64_t fingerprint = fingerprintJobs(jobs);
-
     if (_opts.journalDir.empty())
         throw std::runtime_error("ShardOptions.journalDir is empty");
     if (!makeDirs(_opts.journalDir)) {
@@ -400,35 +472,13 @@ ShardSupervisor::run(std::vector<Job> jobs, ResultSink *sink)
                 manifest + " exists: this directory already holds a "
                            "campaign (pass resume to continue it)");
         }
-        std::FILE *mf = std::fopen(manifest.c_str(), "r");
-        unsigned long long m_jobs = 0, m_fp = 0;
-        unsigned m_shards = 0;
-        char header[64] = {};
-        if (!mf ||
-            std::fscanf(mf,
-                        "%63[^\n]\njobs=%llu\nshards=%u\n"
-                        "fingerprint=%llx",
-                        header, &m_jobs, &m_shards, &m_fp) != 4) {
-            if (mf)
-                std::fclose(mf);
-            throw std::runtime_error(manifest + ": unreadable");
-        }
-        std::fclose(mf);
-        if (m_jobs != jobs.size() || m_fp != fingerprint) {
-            throw std::runtime_error(
-                manifest +
-                ": spec mismatch (the resume spec must expand to "
-                "the journaled campaign)");
-        }
-        if (m_shards == 0)
-            throw std::runtime_error(manifest + ": zero shards");
         // The journal<->range mapping is fixed at first run; a
         // different --shards on resume silently adopts the original.
-        shards = m_shards;
+        shards = checkManifest(manifest, jobs);
     }
     _opts.shards = shards;
     if (!have_manifest)
-        writeManifest(manifest, jobs.size(), fingerprint);
+        writeManifest(manifest, jobs);
     _stats.shards = shards;
 
     // Recover per-shard state (resumed jobs already journaled).
@@ -444,6 +494,10 @@ ShardSupervisor::run(std::vector<Job> jobs, ResultSink *sink)
                 if (r.jobId >= st.begin && r.jobId < st.end)
                     st.done.insert(r.jobId);
             });
+        if (scan.schemaMismatch) {
+            throw std::runtime_error(
+                schemaMismatchMessage(st.path, scan.foundSchema));
+        }
         if (scan.tornBytes > 0)
             ++_stats.tornRecords;
         _stats.resumedJobs += st.done.size();

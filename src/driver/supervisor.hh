@@ -29,9 +29,11 @@
  *    the campaign ends, a supervisor killed at an arbitrary point
  *    (SIGKILL included) resumes by recovering the journals and
  *    running only the jobs with no durable record. A MANIFEST file
- *    (job count, shard count, spec fingerprint; tempfile+rename)
- *    pins the journal directory to one expansion, so a resume with a
- *    different spec fails loudly instead of merging unrelated runs.
+ *    (job count, shard count, fingerprint and per-field digests of
+ *    the whole job config; tempfile+rename) pins the journal
+ *    directory to one expansion, so a resume with any changed job
+ *    field fails loudly, naming it, instead of merging unrelated
+ *    runs.
  *
  *  - *Streaming merge*: shards cover contiguous id ranges and each
  *    journal is internally ordered (dedup by id for requeue edge
@@ -127,7 +129,8 @@ class ShardSupervisor
     static std::pair<std::uint64_t, std::uint64_t>
     shardRange(std::uint64_t jobs, unsigned shards, unsigned shard);
 
-    /** Stable fingerprint of an expansion, for the MANIFEST. */
+    /** Stable fingerprint of an expansion: its job count and a
+     *  digest of every job-config field a resume must reproduce. */
     static std::uint64_t fingerprintJobs(const std::vector<Job> &jobs);
 
     /** Journal path for shard @p k under @p dir. */
@@ -141,8 +144,12 @@ class ShardSupervisor
     [[noreturn]] void childMain(ShardState &shard,
                                 const std::vector<Job> &jobs);
     void reapShard(ShardState &shard, int waitStatus);
-    void writeManifest(const std::string &path, std::uint64_t jobs,
-                       std::uint64_t fingerprint) const;
+    void writeManifest(const std::string &path,
+                       const std::vector<Job> &jobs) const;
+    /** Throws unless the MANIFEST at @p path pins exactly @p jobs
+     *  (naming the fields that differ); returns its shard count. */
+    unsigned checkManifest(const std::string &path,
+                           const std::vector<Job> &jobs) const;
 
     ShardOptions _opts;
     ShardRunStats _stats;

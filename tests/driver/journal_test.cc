@@ -1,10 +1,12 @@
 /**
  * @file
- * Journal format tests: encode/decode round-trips, CRC rejection of
- * torn and corrupted tails, truncated-checkpoint recovery, and the
- * writer's reopen-truncate-append contract. The journal is the
- * supervisor's source of truth, so these run against raw files with
- * hand-made damage, not through the orchestration layer.
+ * Journal format tests: encode/decode round-trips over every durable
+ * field, a deterministic mutation fuzz of the decoder, CRC rejection
+ * of torn and corrupted tails, refusal of journals from another
+ * schema, truncated-checkpoint recovery, and the writer's
+ * reopen-truncate-append contract. The journal is the supervisor's
+ * source of truth, so these run against raw files with hand-made
+ * damage, not through the orchestration layer.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +14,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <random>
 
 #include "driver/journal.hh"
 
@@ -74,6 +78,63 @@ sampleRecord(std::uint64_t id)
     return rec;
 }
 
+/** @name Distinct non-default values, one per durable field type */
+/// @{
+void
+setDistinct(std::uint64_t &v, unsigned k)
+{
+    v = 0x1000'0000'0000ull + k;
+}
+
+void
+setDistinct(double &v, unsigned k)
+{
+    v = k + 0.25;
+}
+
+void
+setDistinct(bool &v, unsigned)
+{
+    v = true;
+}
+
+void
+setDistinct(std::string &v, unsigned k)
+{
+    v = "field-" + std::to_string(k) + ", with\nnoise";
+}
+
+void
+setDistinct(Treatment &v, unsigned)
+{
+    v = allTreatments().back();
+}
+
+void
+setDistinct(RunOutcome &v, unsigned)
+{
+    v = RunOutcome::Deadlock;
+}
+/// @}
+
+/** A record with every durable field set to a distinct non-default
+ *  value, so a codec that drops or swaps any field fails. */
+JournalRecord
+fullRecord()
+{
+    JournalRecord rec;
+    rec.jobId = 0xfeed'beef'0000'0001ull;
+    rec.status = JobStatus::Poisoned;
+    rec.attempts = 7;
+    rec.error = "bad, job";
+    unsigned k = 0;
+#define TMI_SET_FIELD(type, name, ...) setDistinct(rec.run.name, ++k);
+    TMI_RUN_RESULT_FIELDS(TMI_SET_FIELD)
+#undef TMI_SET_FIELD
+    return rec;
+}
+
+/** Every durable field, compared by walking the field list. */
 void
 expectEqual(const JournalRecord &a, const JournalRecord &b)
 {
@@ -81,18 +142,10 @@ expectEqual(const JournalRecord &a, const JournalRecord &b)
     EXPECT_EQ(a.status, b.status);
     EXPECT_EQ(a.attempts, b.attempts);
     EXPECT_EQ(a.error, b.error);
-    EXPECT_EQ(a.run.workload, b.run.workload);
-    EXPECT_EQ(a.run.treatment, b.run.treatment);
-    EXPECT_EQ(a.run.outcome, b.run.outcome);
-    EXPECT_EQ(a.run.valid, b.run.valid);
-    EXPECT_EQ(a.run.resultDigest, b.run.resultDigest);
-    EXPECT_EQ(a.run.cycles, b.run.cycles);
-    EXPECT_EQ(a.run.seconds, b.run.seconds);
-    EXPECT_EQ(a.run.hitmEvents, b.run.hitmEvents);
-    EXPECT_EQ(a.run.fsEventsEstimated, b.run.fsEventsEstimated);
-    EXPECT_EQ(a.run.ladderRung, b.run.ladderRung);
-    EXPECT_EQ(a.run.faultFires, b.run.faultFires);
-    EXPECT_EQ(a.run.watchdogFlushes, b.run.watchdogFlushes);
+#define TMI_EXPECT_FIELD(type, name, ...)                              \
+    EXPECT_EQ(a.run.name, b.run.name) << #name;
+    TMI_RUN_RESULT_FIELDS(TMI_EXPECT_FIELD)
+#undef TMI_EXPECT_FIELD
 }
 
 /** Write @p n sample records through the writer and close. */
@@ -113,15 +166,131 @@ fileSize(const std::string &path)
     return static_cast<std::uint64_t>(fs::file_size(path));
 }
 
+/** Rewrite bytes [at, at + text.size()) of @p path in place. */
+void
+patchFile(const std::string &path, std::size_t at,
+          const std::string &text)
+{
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(at));
+    f.write(text.data(), static_cast<std::streamsize>(text.size()));
+}
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is), {}};
+}
+
 } // namespace
 
 TEST_F(JournalTest, EncodeDecodeRoundTrip)
 {
-    JournalRecord rec = sampleRecord(17);
+    JournalRecord rec = fullRecord();
+    const RunResult defaults;
+#define TMI_EXPECT_SET(type, name, ...)                                \
+    EXPECT_NE(rec.run.name, defaults.name) << #name << " left at default";
+    TMI_RUN_RESULT_FIELDS(TMI_EXPECT_SET)
+#undef TMI_EXPECT_SET
     std::string payload = encodeRecord(rec);
     JournalRecord back;
     ASSERT_TRUE(decodeRecord(payload, back));
     expectEqual(back, rec);
+    // The sparse sample decodes too.
+    ASSERT_TRUE(decodeRecord(encodeRecord(sampleRecord(17)), back));
+    expectEqual(back, sampleRecord(17));
+}
+
+TEST_F(JournalTest, DecodeRejectsOutOfRangeEnums)
+{
+    JournalRecord rec = sampleRecord(2);
+    rec.error.clear();
+    rec.run.workload.clear();
+    std::string payload = encodeRecord(rec);
+    // Layout: jobId(8) status(1) attempts(4) error(4+0) workload(4+0)
+    // then the treatment and outcome bytes.
+    const std::size_t status = 8, treatment = 8 + 1 + 4 + 4 + 4;
+    const std::size_t outcome = treatment + 1;
+    JournalRecord out;
+    ASSERT_TRUE(decodeRecord(payload, out));
+    for (std::size_t at : {status, treatment, outcome}) {
+        std::string bad = payload;
+        bad[at] = static_cast<char>(0x7f);
+        EXPECT_FALSE(decodeRecord(bad, out)) << "byte " << at;
+    }
+    std::string bad = payload;
+    bad[treatment] = static_cast<char>(allTreatments().size());
+    EXPECT_FALSE(decodeRecord(bad, out));
+}
+
+/**
+ * Deterministic mutation fuzz of the record decoder: bit flips,
+ * truncations, byte overwrites and splices of encoded records.
+ * Every mutant must either be rejected or decode to a record that
+ * re-encodes to exactly the mutant (the codec is canonical, so an
+ * accepted payload can hold no out-of-range or ignored bytes). Run
+ * under the asan-ubsan preset this also proves the decoder never
+ * reads out of bounds or loads an invalid enum.
+ */
+TEST_F(JournalTest, MutationFuzzDecodesOrRejects)
+{
+    std::vector<std::string> corpus = {encodeRecord(fullRecord()),
+                                       encodeRecord(sampleRecord(1)),
+                                       encodeRecord(sampleRecord(4)),
+                                       encodeRecord(JournalRecord{})};
+    std::mt19937_64 rng(0x7a3c5eedull);
+    auto pick = [&](std::size_t n) {
+        return n ? static_cast<std::size_t>(rng() % n) : 0;
+    };
+    unsigned accepted = 0, rejected = 0;
+    for (int i = 0; i < 6000; ++i) {
+        std::string m = corpus[pick(corpus.size())];
+        switch (i % 4) {
+          case 0: // flip 1-4 bits
+            for (std::size_t n = 1 + pick(4); n > 0; --n)
+                m[pick(m.size())] ^= static_cast<char>(1u << pick(8));
+            break;
+          case 1: // truncate
+            m.resize(pick(m.size()));
+            break;
+          case 2: // overwrite a byte
+            m[pick(m.size())] = static_cast<char>(rng());
+            break;
+          case 3: { // splice two records at random cut points
+            const std::string &other = corpus[pick(corpus.size())];
+            m = m.substr(0, pick(m.size())) +
+                other.substr(pick(other.size()));
+            break;
+          }
+        }
+        JournalRecord out;
+        if (decodeRecord(m, out)) {
+            ++accepted;
+            ASSERT_EQ(encodeRecord(out), m) << "mutant " << i;
+        } else {
+            ++rejected;
+        }
+    }
+    // Both paths must actually be exercised.
+    EXPECT_GT(accepted, 100u);
+    EXPECT_GT(rejected, 1000u);
+}
+
+TEST_F(JournalTest, SchemaHashCoversTheFieldList)
+{
+    EXPECT_EQ(schemaHash({TMI_RUN_RESULT_FIELDS(TMI_SCHEMA_FIELD)}),
+              journalSchemaHash());
+    // Adding, renaming or retyping a field changes the hash.
+#define TMI_EXTRA_FIELD(X) X(std::uint64_t, newCounter, 0)
+    EXPECT_NE(schemaHash({TMI_RUN_RESULT_FIELDS(TMI_SCHEMA_FIELD)
+                              TMI_EXTRA_FIELD(TMI_SCHEMA_FIELD)}),
+              journalSchemaHash());
+#undef TMI_EXTRA_FIELD
+    EXPECT_NE(schemaHash({{"cycles", "Cycles"}}),
+              schemaHash({{"cycles", "double"}}));
+    EXPECT_NE(schemaHash({{"cycles", "Cycles"}}),
+              schemaHash({{"makespan", "Cycles"}}));
 }
 
 TEST_F(JournalTest, DecodeRejectsShortAndPaddedPayloads)
@@ -221,6 +390,58 @@ TEST_F(JournalTest, ForeignFileRecoversAsFullyTorn)
     EXPECT_TRUE(rec.records.empty());
     EXPECT_EQ(rec.validBytes, 0u);
     EXPECT_GT(rec.tornBytes, 0u);
+}
+
+TEST_F(JournalTest, TornHeaderRecoversEmptyAndIsRewritten)
+{
+    writeJournal(_path, 2);
+    fs::resize_file(_path, 11); // died mid-header
+    JournalRecovery rec = recoverJournal(_path);
+    EXPECT_FALSE(rec.schemaMismatch);
+    EXPECT_EQ(rec.validBytes, 0u);
+    EXPECT_EQ(rec.tornBytes, 11u);
+
+    JournalWriter w(_path, 1);
+    ASSERT_TRUE(w.open()) << w.lastError();
+    EXPECT_EQ(w.recordCount(), 0u);
+    ASSERT_TRUE(w.append(sampleRecord(0)));
+    w.close();
+    EXPECT_EQ(recoverJournal(_path).records.size(), 1u);
+}
+
+TEST_F(JournalTest, OtherVersionJournalIsRefusedUntouched)
+{
+    writeJournal(_path, 3);
+    patchFile(_path, 0, "TMIJRNL3");
+    std::string before = readBytes(_path);
+
+    JournalRecovery rec = recoverJournal(_path);
+    EXPECT_TRUE(rec.schemaMismatch);
+    EXPECT_EQ(rec.foundSchema, "TMIJRNL3");
+    EXPECT_TRUE(rec.records.empty());
+
+    JournalWriter w(_path, 1);
+    EXPECT_FALSE(w.open());
+    EXPECT_FALSE(w.isOpen());
+    EXPECT_NE(w.lastError().find("TMIJRNL3"), std::string::npos);
+    EXPECT_NE(w.lastError().find(journalSchemaName()), std::string::npos);
+    EXPECT_NE(w.lastError().find("--journal-dir"), std::string::npos);
+    EXPECT_EQ(readBytes(_path), before);
+}
+
+TEST_F(JournalTest, OtherSchemaHashIsRefusedUntouched)
+{
+    writeJournal(_path, 2);
+    patchFile(_path, 8, std::string(8, '\x5a')); // the schema hash
+    std::string before = readBytes(_path);
+
+    JournalRecovery rec = recoverJournal(_path);
+    EXPECT_TRUE(rec.schemaMismatch);
+    EXPECT_EQ(rec.foundSchema,
+              journalSchemaName().substr(0, 8) + "/5a5a5a5a5a5a5a5a");
+    JournalWriter w(_path, 1);
+    EXPECT_FALSE(w.open());
+    EXPECT_EQ(readBytes(_path), before);
 }
 
 TEST_F(JournalTest, ReopenTruncatesTornTailBeforeAppending)

@@ -3,9 +3,10 @@
  * Shard supervisor tests: the merged CSV must be byte-identical to an
  * uninterrupted in-process run for any shard count, through injected
  * worker crashes, quarantine of poison jobs, and checkpoint/resume
- * from partially written journals. Crashes are injected with the
- * test-only ShardOptions::childFaultHook, which runs inside the
- * forked worker and may abort() it mid-job.
+ * from partially written journals; and a resume whose jobs or
+ * journals differ from the campaign on disk must be refused. Crashes
+ * are injected with the test-only ShardOptions::childFaultHook,
+ * which runs inside the forked worker and may abort() it mid-job.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -338,6 +340,113 @@ TEST_F(SupervisorTest, ResumeRefusesAMismatchedSpec)
     ShardOptions resume = baseOptions(subdir("pin"));
     resume.resume = true;
     EXPECT_THROW(supervisedCsv(other, resume), std::runtime_error);
+}
+
+/** A one-job campaign with an armed fault, so every job-config
+ *  field a resume must pin has something to change. */
+SweepSpec
+pinnedSpec()
+{
+    SweepSpec spec;
+    spec.workloads = {"histogramfs"};
+    spec.treatments = {Treatment::Pthreads};
+    spec.base.run.scale = 1;
+    FaultSpec fault;
+    fault.probability = 0.5;
+    fault.windowEnd = 1'000'000;
+    spec.base.run.faults = {{"mem.frame_exhausted", fault}};
+    return spec;
+}
+
+/** The message of the runtime_error a resume of @p spec throws. */
+std::string
+resumeRefusal(const SweepSpec &spec, const std::string &dir)
+{
+    ShardOptions resume = baseOptions(dir);
+    resume.resume = true;
+    try {
+        supervisedCsv(spec, resume);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST_F(SupervisorTest, ResumeRefusesAnyChangedJobField)
+{
+    std::string dir = subdir("fields");
+    supervisedCsv(pinnedSpec(), baseOptions(dir));
+
+    // Each case changes exactly one field; the refusal names it.
+    struct Case
+    {
+        const char *field;
+        void (*change)(Config &);
+    };
+    const Case cases[] = {
+        {"run.params",
+         [](Config &c) { c.run.params = {{"iterations", "3"}}; }},
+        {"run.placement",
+         [](Config &c) { c.run.placement = PlacementPolicy::Pack; }},
+        {"run.planIn", [](Config &c) { c.run.planIn = "plan v1\n"; }},
+        {"run.analysisInterval",
+         [](Config &c) { c.run.analysisInterval = 500'000; }},
+        {"run.repairThreshold",
+         [](Config &c) { c.run.repairThreshold *= 2; }},
+        {"run.allocator",
+         [](Config &c) { c.run.allocator = AllocatorKind::GlibcLike; }},
+        {"run.pageShift", [](Config &c) { c.run.pageShift = 21; }},
+        {"run.faults",
+         [](Config &c) { c.run.faults[0].second.probability = 0.25; }},
+        {"run.faults",
+         [](Config &c) { c.run.faults[0].second.windowEnd = 2'000'000; }},
+        {"tmi.robust.recoverUpWindows",
+         [](Config &c) { c.tmi.robust.recoverUpWindows = 3; }},
+    };
+    for (const Case &c : cases) {
+        SweepSpec changed = pinnedSpec();
+        c.change(changed.base);
+        std::string why = resumeRefusal(changed, dir);
+        EXPECT_NE(why.find(std::string("spec mismatch in ") + c.field),
+                  std::string::npos)
+            << c.field << ": " << why;
+    }
+    // The unchanged spec still resumes.
+    EXPECT_EQ(resumeRefusal(pinnedSpec(), dir), "");
+}
+
+TEST_F(SupervisorTest, ResumeRefusesJournalsOfAnotherSchema)
+{
+    SweepSpec spec = matrixSpec();
+    ShardOptions first = baseOptions(subdir("old"));
+    first.shards = 2;
+    supervisedCsv(spec, first);
+
+    // Relabel both journals as an older format version.
+    std::vector<std::string> before;
+    for (unsigned s = 0; s < 2; ++s) {
+        std::string path = ShardSupervisor::journalPath(subdir("old"), s);
+        {
+            std::fstream f(path, std::ios::in | std::ios::out |
+                                     std::ios::binary);
+            f.write("TMIJRNL3", 8);
+        }
+        std::ifstream is(path, std::ios::binary);
+        before.emplace_back(std::istreambuf_iterator<char>(is),
+                            std::istreambuf_iterator<char>());
+    }
+
+    std::string why = resumeRefusal(spec, subdir("old"));
+    EXPECT_NE(why.find("TMIJRNL3"), std::string::npos) << why;
+    EXPECT_NE(why.find(journalSchemaName()), std::string::npos) << why;
+    EXPECT_NE(why.find("--journal-dir"), std::string::npos) << why;
+    for (unsigned s = 0; s < 2; ++s) {
+        std::ifstream is(ShardSupervisor::journalPath(subdir("old"), s),
+                         std::ios::binary);
+        EXPECT_EQ(std::string(std::istreambuf_iterator<char>(is),
+                              std::istreambuf_iterator<char>()),
+                  before[s]);
+    }
 }
 
 } // namespace tmi::driver
