@@ -1,5 +1,6 @@
 #include "cache_sim.hh"
 
+#include <algorithm>
 #include <unordered_map>
 
 namespace tmi
@@ -71,7 +72,18 @@ CacheSim::CacheSim(const CacheConfig &config) : _config(config)
     _l1.resize(config.cores);
     for (auto &l1 : _l1)
         l1.init(config.l1Sets, config.l1Ways);
-    _llc.init(config.llcSets, config.llcWays);
+    // One host line of slack lets the rows start on a host-line
+    // boundary. (An aligned allocation would too, but glibc's memalign
+    // fragments the heap when a CacheSim is built per run.)
+    std::size_t row = config.llcWays;
+    _llcRows.assign(config.llcSets * 2 * row + hostLineWords - 1, 0);
+    std::size_t misalign =
+        reinterpret_cast<std::uintptr_t>(_llcRows.data()) % hostLineBytes;
+    _llcBase = (hostLineBytes - misalign) % hostLineBytes /
+               sizeof(std::uint64_t);
+    _llcSetMask = config.llcSets - 1;
+    for (std::size_t set = 0; set < config.llcSets; ++set)
+        std::fill_n(&_llcRows[_llcBase + set * 2 * row], row, llcEmpty);
 }
 
 CacheSim::Snoop
@@ -118,29 +130,31 @@ CacheSim::invalidateOthers(std::uint32_t others, Addr line_addr)
 bool
 CacheSim::llcLookupFill(Addr line_addr)
 {
-    // One pass finds the hit or the victim: the first invalid way,
-    // else the least recently used. LLC ways fill in order and are
-    // never invalidated, so no valid way follows an invalid one.
-    Line *base = _llc.set(line_addr);
-    Line *v = base;
-    for (unsigned w = 0; w < _llc.ways; ++w) {
-        Line &way = base[w];
-        if (way.state == Mesi::Invalid) {
-            v = &way;
-            break;
-        }
-        if (way.tag == line_addr) {
-            way.lastUse = _useClock;
+    // Ways fill in order and are never emptied, so the first empty
+    // way ends the search: the line is absent and that way is free.
+    std::uint64_t *tags = llcRow(line_addr);
+    std::uint64_t *stamps = tags + _config.llcWays;
+    unsigned w = 0;
+    for (; w < _config.llcWays; ++w) {
+        if (tags[w] == line_addr) {
+            stamps[w] = _useClock;
             return true;
         }
-        if (way.lastUse < v->lastUse)
-            v = &way;
+        if (tags[w] == llcEmpty)
+            break;
+    }
+    if (w == _config.llcWays) {
+        // Full set: the least recently used way, the lowest on a tie.
+        w = 0;
+        for (unsigned i = 1; i < _config.llcWays; ++i) {
+            if (stamps[i] < stamps[w])
+                w = i;
+        }
     }
     // LLC evictions have no side effects: data always lives in the
     // simulated physical memory, and the LLC is non-inclusive.
-    v->tag = line_addr;
-    v->state = Mesi::Shared;
-    v->lastUse = _useClock;
+    tags[w] = line_addr;
+    stamps[w] = _useClock;
     return false;
 }
 
@@ -190,7 +204,12 @@ CacheSim::access(const AccessContext &ctx)
     }
 
     // L1 miss: snoop the other private caches. A write invalidates
-    // every remote copy below and takes the line Modified.
+    // every remote copy below and takes the line Modified. The LLC
+    // set's tag row is likely cold in the host cache and is read on
+    // most paths below, so its load starts before the snoop.
+    const std::uint64_t *tags = llcRow(line_addr);
+    for (unsigned w = 0; w < _config.llcWays; w += hostLineWords)
+        __builtin_prefetch(tags + w);
     Snoop s = snoop(ctx.core, line_addr);
     Mesi owner_state = s.owner ? s.owner->state : Mesi::Invalid;
     Mesi fill = ctx.isWrite ? Mesi::Modified : Mesi::Shared;

@@ -185,8 +185,8 @@ class CacheSim
         std::uint64_t lastUse = 0;
     };
 
-    /** One set-associative tag array; the set count is a power of
-     *  two, so a line's set is its low address bits. */
+    /** One private set-associative tag array; the set count is a
+     *  power of two, so a line's set is its low address bits. */
     struct TagArray
     {
         Addr setMask = 0;
@@ -221,9 +221,36 @@ class CacheSim
     void fillLine(CoreId core, Addr line_addr, Mesi state);
     bool llcLookupFill(Addr line_addr);
 
+    /** LLC set @p line_addr maps to: its tag row, then its stamp row
+     *  (see _llcRows). */
+    std::uint64_t *
+    llcRow(Addr line_addr)
+    {
+        return &_llcRows[_llcBase + (line_addr & _llcSetMask) * 2 *
+                                        _config.llcWays];
+    }
+
+    /** Host cache line, the unit the LLC rows are aligned to. */
+    static constexpr std::size_t hostLineBytes = 64;
+    static constexpr unsigned hostLineWords =
+        hostLineBytes / sizeof(std::uint64_t);
+
+    /** Tag of an LLC way that was never filled. */
+    static constexpr std::uint64_t llcEmpty = ~std::uint64_t{0};
+
     CacheConfig _config;
     std::vector<TagArray> _l1;
-    TagArray _llc;
+    /**
+     * The LLC as two flat rows per set, starting at _llcBase (the
+     * first host-line boundary in the buffer): llcWays line tags
+     * (llcEmpty for a way never filled), then llcWays LRU stamps. LLC
+     * lines are only ever Shared or Invalid, so the tag alone is the
+     * state, and a lookup reads one tag row (two host cache lines at
+     * 16 ways) instead of an array of full Lines.
+     */
+    std::vector<std::uint64_t> _llcRows;
+    std::size_t _llcBase = 0;
+    Addr _llcSetMask = 0;
     HitmCallback _hitmCb;
     std::uint64_t _useClock = 0;
 

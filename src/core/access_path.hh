@@ -33,6 +33,22 @@
  * mismatch. The simulated side effects that must stay per-access --
  * TLB lookup, coherence simulation, stats, instrumentation
  * sampling, scheduler advance -- are untouched by design.
+ *
+ * Machine::accessPath's order, after the PC lookup and the layout
+ * redirect: LASER intercept (which does its own TLB lookup), then
+ * translate (this frame cache, Mmu::translate, or the shared mapping
+ * for bypassed accesses), then a host prefetch of the simulated bytes
+ * at the physical address, then the simulated TLB lookup, the txn
+ * pre-access check and CacheSim. Translation goes first so the
+ * prefetch overlaps the TLB model and CacheSim; the two never touch
+ * each other's state, so only their summed latency is observable. The
+ * simulated TLB must run before anything that can rewind the fiber
+ * (a txn self-abort restores its checkpoint), or its counters change.
+ * A host prefetch cannot change simulated state: it reads through a
+ * const PhysicalMemory accessor that never materializes a frame, and
+ * prefetching has no architectural effect. CacheSim likewise
+ * prefetches the LLC set's tag row on an L1 miss; the LLC is stored
+ * as a tag row and an LRU stamp row per set. DESIGN.md section 4d.
  */
 
 #ifndef TMI_CORE_ACCESS_PATH_HH

@@ -566,7 +566,7 @@ Machine::revalidatePipeline()
                          !_hooks || _hooks->atomicsBypassPrivate());
 }
 
-Addr
+Machine::ResolvedAccess
 Machine::accessPath(ThreadId tid, Addr pc, Addr va, bool is_write,
                     bool bypass_private)
 {
@@ -580,19 +580,17 @@ Machine::accessPath(ThreadId tid, Addr pc, Addr va, bool is_write,
     // Static layout repair: redirect through the plan's segment table
     // before translation, so TLBs, frame caches, coherence state and
     // detection all key on the repaired layout. One branch when empty.
-    Cycles redirect_lat = 0;
+    Cycles lat = 0;
     if (!_layout.empty()) {
         bool hit = false;
         Addr nva = _layout.redirect(va, hit);
         if (hit) {
             va = nva;
-            redirect_lat = _config.staticRedirectCost;
+            lat = _config.staticRedirectCost;
         }
     }
 
     ProcessId pid = _threadProcess[tid];
-    Cycles lat = _tlbs[core].lookup(va) + redirect_lat;
-
     if (_pipeline.stale())
         revalidatePipeline();
 
@@ -603,8 +601,8 @@ Machine::accessPath(ThreadId tid, Addr pc, Addr va, bool is_write,
     Cycles intercept_cost = 0;
     if (_pipeline.interceptArmed() && _hooks &&
         _hooks->interceptAccess(tid, va, is_write, intercept_cost)) {
-        _sched.advance(lat + intercept_cost);
-        return sharedPaddr(pid, va);
+        _sched.advance(lat + _tlbs[core].lookup(va) + intercept_cost);
+        return {sharedPaddr(pid, va), info.width};
     }
 
     if (!bypass_private && _pipeline.bypassPrivate(tid))
@@ -631,6 +629,16 @@ Machine::accessPath(ThreadId tid, Addr pc, Addr va, bool is_write,
             }
         }
     }
+
+    // Start pulling the simulated bytes into the host cache; the TLB
+    // model and CacheSim below run while the load is in flight. Null
+    // (an untouched frame) is a harmless prefetch target.
+    __builtin_prefetch(_mmu.phys().hostAddrIfTouched(paddr));
+
+    // The simulated TLB must run before anything that can rewind the
+    // fiber: txnPreAccess's self-abort restores the txn's checkpoint,
+    // and the lookup it already made must stay made.
+    lat += _tlbs[core].lookup(va);
 
     // Transactional conflict detection (lock elision). One counter
     // test when no txn is live anywhere, so elision-off runs charge
@@ -676,15 +684,15 @@ Machine::accessPath(ThreadId tid, Addr pc, Addr va, bool is_write,
         // place to model twin costs precisely).
         paddr = _mmu.translate(pid, va, is_write).paddr;
     }
-    return paddr;
+    return {paddr, info.width};
 }
 
 std::uint64_t
 Machine::memOp(ThreadId tid, Addr pc, Addr va, bool is_write,
                std::uint64_t store_value, bool bypass_private)
 {
-    Addr paddr = accessPath(tid, pc, va, is_write, bypass_private);
-    unsigned width = _pipeline.instr(coreOf(tid), pc, _instrs).width;
+    auto [paddr, width] =
+        accessPath(tid, pc, va, is_write, bypass_private);
     if (is_write) {
         if (_activeTxns != 0)
             txnTrackWrite(tid, paddr, width);
@@ -699,11 +707,8 @@ Machine::memOpStream(ThreadId tid, Addr pc, Addr va,
                      std::uint64_t count, Addr stride,
                      std::uint64_t value, std::uint64_t value_step)
 {
-    // Width is immutable once a PC is defined, so it can be hoisted
-    // even though every accessPath below may yield.
-    unsigned width = _pipeline.instr(coreOf(tid), pc, _instrs).width;
     for (std::uint64_t i = 0; i < count; ++i) {
-        Addr paddr = accessPath(tid, pc, va, true, false);
+        auto [paddr, width] = accessPath(tid, pc, va, true, false);
         if (_activeTxns != 0)
             txnTrackWrite(tid, paddr, width);
         writePhys(paddr, value, width);
@@ -871,13 +876,11 @@ Machine::atomicFetchAdd(ThreadId tid, Addr pc, Addr va,
     ++_statAtomicOps;
     if (_pipeline.stale())
         revalidatePipeline();
-    bool bypass = _pipeline.atomicsBypass();
-    unsigned width = _pipeline.instr(coreOf(tid), pc, _instrs).width;
-
     // Charge one RFO write access; then perform the whole
     // read-modify-write on the resolved frame without yielding, so
     // the operation is indivisible.
-    Addr paddr = accessPath(tid, pc, va, true, bypass);
+    auto [paddr, width] =
+        accessPath(tid, pc, va, true, _pipeline.atomicsBypass());
     std::uint64_t old = readPhys(paddr, width);
     if (_activeTxns != 0)
         txnTrackWrite(tid, paddr, width);
@@ -894,10 +897,8 @@ Machine::atomicCas(ThreadId tid, Addr pc, Addr va, std::uint64_t expect,
     ++_statAtomicOps;
     if (_pipeline.stale())
         revalidatePipeline();
-    bool bypass = _pipeline.atomicsBypass();
-    unsigned width = _pipeline.instr(coreOf(tid), pc, _instrs).width;
-
-    Addr paddr = accessPath(tid, pc, va, true, bypass);
+    auto [paddr, width] =
+        accessPath(tid, pc, va, true, _pipeline.atomicsBypass());
     std::uint64_t old = readPhys(paddr, width);
     if (old != expect)
         return false;

@@ -692,14 +692,21 @@ class Machine : public MemoryProvider
 
     std::uint64_t readPhys(Addr paddr, unsigned width) const;
     void writePhys(Addr paddr, std::uint64_t value, unsigned width);
+    /** Where a resolved access's data op goes, and its width. */
+    struct ResolvedAccess
+    {
+        Addr paddr;
+        unsigned width;
+    };
     /**
      * Translation + coherence + timing for one access, without the
      * data movement. Returns the physical address the data op should
-     * use. Shared by memOp and the atomic RMWs (which must not let
-     * the charge-phase clobber the location).
+     * use and the instruction's width. Shared by memOp and the atomic
+     * RMWs (which must not let the charge-phase clobber the
+     * location). Order and rationale: core/access_path.hh.
      */
-    Addr accessPath(ThreadId tid, Addr pc, Addr va, bool is_write,
-                    bool bypass_private);
+    ResolvedAccess accessPath(ThreadId tid, Addr pc, Addr va,
+                              bool is_write, bool bypass_private);
     /** Re-query the hooks for the pipeline's snapshot (epoch miss). */
     void revalidatePipeline();
     /** Physical address of @p va through the always-shared mapping. */

@@ -68,6 +68,21 @@ class PhysicalMemory
     /** Borrow a frame's buffer for reading; null if never touched. */
     const std::uint8_t *framePtrIfTouched(PPage frame) const;
 
+    /**
+     * Host address of the byte at @p paddr in a live frame, or null
+     * if the frame was never touched. Never materializes a frame:
+     * the access path uses it only to prefetch the bytes a data op is
+     * about to move, which cannot change any simulated state.
+     */
+    const std::uint8_t *
+    hostAddrIfTouched(Addr paddr) const
+    {
+        PPage frame = paddr >> _pageShift;
+        TMI_ASSERT(frame < _frames.size());
+        const std::uint8_t *data = _frames[frame].data.get();
+        return data ? data + (paddr & (pageBytes() - 1)) : nullptr;
+    }
+
     /** True if @p frame is currently allocated. */
     bool frameLive(PPage frame) const;
 

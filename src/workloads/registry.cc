@@ -51,17 +51,27 @@ buildRegistry()
 {
     std::vector<WorkloadInfo> reg;
 
-    auto add_generic = [&reg](const KernelSpec &spec,
-                              bool uses_atomics_or_asm) {
+    auto add = [&reg](std::string name, WorkloadFactory make,
+                      bool known_false_sharing, bool in_overhead_set,
+                      bool uses_atomics_or_asm,
+                      ParamSchema schema = {}) {
         WorkloadInfo info;
-        info.name = spec.name;
-        info.make = [spec](const WorkloadParams &params) {
-            return std::make_unique<GenericKernelWorkload>(params, spec);
-        };
-        info.knownFalseSharing = false;
-        info.inOverheadSet = true;
+        info.name = std::move(name);
+        info.make = std::move(make);
+        info.knownFalseSharing = known_false_sharing;
+        info.inOverheadSet = in_overhead_set;
         info.usesAtomicsOrAsm = uses_atomics_or_asm;
+        info.schema = std::move(schema);
         reg.push_back(std::move(info));
+    };
+    auto add_generic = [&add](const KernelSpec &spec,
+                              bool uses_atomics_or_asm) {
+        add(spec.name,
+            [spec](const WorkloadParams &params) {
+                return std::make_unique<GenericKernelWorkload>(params,
+                                                               spec);
+            },
+            false, true, uses_atomics_or_asm);
     };
 
     // Figure 7 order: PARSEC, then Phoenix, then Splash2x, then
@@ -77,8 +87,7 @@ buildRegistry()
 
     add_generic(spec("blackscholes"), false);
     add_generic(spec("bodytrack"), false);
-    reg.push_back({"canneal", makeFactory<CannealWorkload>(), false,
-                   true, true});
+    add("canneal", makeFactory<CannealWorkload>(), false, true, true);
     add_generic(spec("dedup"), true);
     add_generic(spec("facesim"), false);
     add_generic(spec("ferret"), false);
@@ -86,26 +95,22 @@ buildRegistry()
     add_generic(spec("streamcluster"), false);
     add_generic(spec("swaptions"), false);
 
-    reg.push_back({"histogram", makeFactory<HistogramWorkload>(false),
-                   true, true, false});
-    reg.push_back({"histogramfs", makeFactory<HistogramWorkload>(true),
-                   true, true, false});
+    add("histogram", makeFactory<HistogramWorkload>(false), true, true, false);
+    add("histogramfs", makeFactory<HistogramWorkload>(true),
+        true, true, false);
     add_generic(spec("kmeans"), false);
-    reg.push_back({"lreg", makeFactory<LinearRegressionWorkload>(),
-                   true, true, false});
+    add("lreg", makeFactory<LinearRegressionWorkload>(), true, true, false);
     add_generic(spec("matrix"), false);
     add_generic(spec("pca"), false);
     add_generic(spec("reverse"), false);
-    reg.push_back({"stringmatch", makeFactory<StringMatchWorkload>(),
-                   true, true, false});
+    add("stringmatch", makeFactory<StringMatchWorkload>(), true, true, false);
     add_generic(spec("wordcount"), false);
 
     add_generic(spec("barnes"), false);
     add_generic(spec("fft"), false);
     add_generic(spec("fmm"), false);
     add_generic(spec("lu-cb"), false);
-    reg.push_back({"lu-ncb", makeFactory<LuNcbWorkload>(), true, true,
-                   false});
+    add("lu-ncb", makeFactory<LuNcbWorkload>(), true, true, false);
     add_generic(spec("ocean-cp"), false);
     add_generic(spec("ocean-ncp"), false);
     add_generic(spec("radiosity"), false);
@@ -115,30 +120,17 @@ buildRegistry()
     add_generic(spec("water-nsquare"), false);
     add_generic(spec("water-spatial"), false);
 
-    reg.push_back({"leveldb", makeFactory<LevelDbWorkload>(), true,
-                   true, true});
-    {
-        // Declares small_slots (the malloc-placement sweep's knob),
-        // so it needs the schema field the aggregate inits leave
-        // defaulted.
-        WorkloadInfo info;
-        info.name = "spinlockpool";
-        info.make = makeFactory<SpinlockPoolWorkload>();
-        info.knownFalseSharing = true;
-        info.inOverheadSet = true;
-        info.usesAtomicsOrAsm = false;
-        info.schema = SpinlockPoolWorkload::schema();
-        reg.push_back(std::move(info));
-    }
-    reg.push_back({"shptr-relaxed", makeFactory<SharedPtrWorkload>(false),
-                   true, true, true});
-    reg.push_back({"shptr-lock", makeFactory<SharedPtrWorkload>(true),
-                   true, true, false});
+    add("leveldb", makeFactory<LevelDbWorkload>(), true, true, true);
+    // Declares small_slots, the malloc-placement sweep's knob.
+    add("spinlockpool", makeFactory<SpinlockPoolWorkload>(), true, true,
+        false, SpinlockPoolWorkload::schema());
+    add("shptr-relaxed", makeFactory<SharedPtrWorkload>(false),
+        true, true, true);
+    add("shptr-lock", makeFactory<SharedPtrWorkload>(true), true, true, false);
 
     // cholesky: excluded from the timing set (section 4.1) but used
     // for the Figure 12 consistency case study.
-    reg.push_back({"cholesky", makeFactory<CholeskyWorkload>(), false,
-                   false, true});
+    add("cholesky", makeFactory<CholeskyWorkload>(), false, false, true);
 
     // The server family: request/response feed handlers driven by
     // the open-loop traffic generator. Not part of the paper's

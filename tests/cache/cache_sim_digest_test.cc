@@ -18,8 +18,7 @@
 #include <ostream>
 #include <string>
 
-#include "cache/cache_sim.hh"
-#include "common/rng.hh"
+#include "cache/seeded_stream.hh"
 
 namespace tmi
 {
@@ -63,18 +62,8 @@ class Fnv
 std::uint64_t
 runDigest(const DigestCase &dc, std::string &counters)
 {
-    CacheConfig cfg;
-    cfg.protocol = dc.protocol;
-    if (dc.small) {
-        cfg.cores = 4;
-        cfg.l1Sets = 8;
-        cfg.l1Ways = 2;
-        cfg.llcSets = 64;
-        cfg.llcWays = 4;
-    } else {
-        cfg.cores = 8;
-    }
-    CacheSim cache(cfg);
+    SeededStream stream{dc.protocol, dc.small, dc.invalidate};
+    CacheSim cache(seededStreamConfig(stream));
 
     // A HITM observer that charges a varying extra cost, so the order
     // and count of callbacks reach the digest too.
@@ -84,40 +73,11 @@ runDigest(const DigestCase &dc, std::string &counters)
         return static_cast<Cycles>((hitm_calls + ctx.core) % 5);
     });
 
-    // Hot lines shared by every core, plus a cold range large enough
-    // to push lines out of the default L1s and LLC.
-    const std::uint64_t hot_lines = dc.small ? 96 : 256;
-    const std::uint64_t cold_lines = dc.small ? 1024 : 1u << 18;
-    const int accesses = dc.small ? 60000 : 400000;
-
-    Rng rng(dc.small ? 0x5eedULL : 0xdefaULL);
     Fnv fnv;
-    for (int i = 0; i < accesses; ++i) {
-        AccessContext c;
-        c.core = static_cast<CoreId>(rng.below(cfg.cores));
-        c.tid = c.core;
-        std::uint64_t line = rng.chance(0.7)
-                                 ? rng.below(hot_lines)
-                                 : hot_lines + rng.below(cold_lines);
-        c.paddr = line * lineBytes + rng.below(8) * 8;
-        c.vaddr = c.paddr;
-        c.pc = 0x400000;
-        c.width = 8;
-        c.isWrite = rng.chance(0.35);
-
-        AccessResult r = cache.access(c);
+    playSeededStream(stream, cache, [&fnv](const AccessResult &r) {
         fnv.add(r.latency);
         fnv.add((r.l1Hit ? 1u : 0u) | (r.hitm ? 2u : 0u));
-
-        if (dc.invalidate) {
-            if (rng.chance(0.01))
-                cache.invalidateLine(rng.below(hot_lines) * lineBytes);
-            if (rng.chance(0.001)) {
-                cache.invalidatePage(rng.below(hot_lines / 64 + 1),
-                                     smallPageShift);
-            }
-        }
-    }
+    });
     EXPECT_TRUE(cache.auditCoherence());
 
     stats::StatGroup group("cache");

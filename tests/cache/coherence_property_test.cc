@@ -51,8 +51,9 @@ TEST_P(CoherenceProperty, SwmrHoldsUnderRandomTraffic)
 
     for (int i = 0; i < 20000; ++i) {
         cache.access(randomCtx(rng, cfg.cores, 64));
-        if (i % 512 == 0)
+        if (i % 512 == 0) {
             ASSERT_TRUE(cache.auditCoherence()) << "at access " << i;
+        }
     }
     EXPECT_TRUE(cache.auditCoherence());
 }
@@ -68,8 +69,9 @@ TEST_P(CoherenceProperty, InvalidationsKeepInvariants)
         if (rng.chance(0.002)) {
             cache.invalidatePage(0, smallPageShift);
         }
-        if (i % 256 == 0)
+        if (i % 256 == 0) {
             ASSERT_TRUE(cache.auditCoherence());
+        }
     }
 }
 
@@ -86,8 +88,9 @@ TEST_P(CoherenceProperty, LatenciesAlwaysSane)
         EXPECT_GE(res.latency, cfg.l1HitLatency);
         EXPECT_LE(res.latency, max_lat);
         // HITM is only reported with the HITM latency.
-        if (res.hitm)
+        if (res.hitm) {
             EXPECT_EQ(res.latency, cfg.hitmLatency);
+        }
     }
 }
 

@@ -157,8 +157,9 @@ TEST_P(MoesiProperty, InvariantsHoldUnderRandomTraffic)
                               rng.below(64) * lineBytes,
                               rng.chance(0.4));
         cache.access(c);
-        if (i % 512 == 0)
+        if (i % 512 == 0) {
             ASSERT_TRUE(cache.auditCoherence()) << "at access " << i;
+        }
     }
     EXPECT_TRUE(cache.auditCoherence());
 }

@@ -45,8 +45,9 @@ TEST_P(ThreadSweep, RepairWorksAtAnyWidth)
     RunResult tmi = runExperiment(cfg);
     ASSERT_TRUE(tmi.compatible);
     EXPECT_TRUE(tmi.repairActive);
-    if (GetParam() > 1)
+    if (GetParam() > 1) {
         EXPECT_GT(speedup(base, tmi), 1.1);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ThreadSweep,
