@@ -27,6 +27,8 @@
  * (worker processes; only with --journal-dir).
  * Usage: chaos_campaign [--csv out.csv] [--repro-dir DIR]
  *                       [--journal-dir DIR] [--resume]
+ * (--csv, --journal-dir and --resume are shared flag-table rows,
+ * src/driver/flags.cc).
  *
  * The server campaign writes its CSV next to the batch one as
  * "<out.csv>.server" (or to stdout after the batch CSV when no
@@ -44,12 +46,15 @@
 
 #include "bench_util.hh"
 #include "chaos/campaign.hh"
+#include "driver/flags.hh"
 
 using namespace tmi;
 using namespace tmi::bench;
 
 namespace
 {
+
+const char *const kTool = "chaos_campaign";
 
 std::uint64_t
 envU64(const char *name, std::uint64_t fallback)
@@ -59,72 +64,48 @@ envU64(const char *name, std::uint64_t fallback)
     return fallback;
 }
 
-struct CampaignIo
-{
-    std::string csvPath;
-    std::string reproDir;
-    std::string journalDir;
-    bool resume = false;
-};
-
-/** Run one campaign (in-process or sharded per io.journalDir) and
+/** Run one campaign (in-process or sharded per --journal-dir) and
  *  report its reproducers; returns false on an unclean outcome. */
 bool
 runOne(const char *label, const chaos::CampaignSpec &spec,
-       const CampaignIo &io)
+       const driver::CliOptions &io, const std::string &repro_dir)
 {
     std::ofstream csv_file;
     if (!io.csvPath.empty()) {
         csv_file.open(io.csvPath);
-        if (!csv_file) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         io.csvPath.c_str());
-            return false;
-        }
+        if (!csv_file)
+            driver::usageError(kTool,
+                               "cannot write '" + io.csvPath + "'");
     }
     std::ostream &os = io.csvPath.empty()
                            ? static_cast<std::ostream &>(std::cout)
                            : csv_file;
 
-    driver::RunnerOptions opts;
-    opts.workers = benchWorkers();
-
     chaos::CampaignOutcome outcome;
-    if (!io.journalDir.empty()) {
-        chaos::ShardedCampaignOptions sharded;
-        sharded.shard.journalDir = io.journalDir;
-        sharded.shard.resume = io.resume;
-        sharded.shard.shards = static_cast<unsigned>(
-            envU64("TMI_CHAOS_SHARDS", 2));
-        sharded.shard.runner = opts;
-        driver::ShardRunStats stats;
-        try {
+    std::string tag = std::string("chaos:") + label;
+    driver::runCampaignFlags(
+        kTool, tag.c_str(), io,
+        [&](driver::Runner &runner) {
+            outcome = chaos::runCampaign(spec, runner, &os);
+            return runner.stats();
+        },
+        [&](const driver::ShardOptions &shard) {
+            chaos::ShardedCampaignOptions sharded;
+            sharded.shard = shard;
+            driver::ShardRunStats stats;
             outcome =
                 chaos::runCampaignSharded(spec, sharded, &os, &stats);
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "chaos_campaign: %s: %s\n", label,
-                         e.what());
-            return false;
-        }
-        std::fprintf(
-            stderr,
-            "[chaos:%s] %llu shard(s), %llu crash(es), %llu resumed\n",
-            label, static_cast<unsigned long long>(stats.shards),
-            static_cast<unsigned long long>(stats.crashes),
-            static_cast<unsigned long long>(stats.resumedJobs));
-    } else {
-        driver::Runner runner(opts);
-        outcome = chaos::runCampaign(spec, runner, &os);
-    }
+            return stats;
+        });
 
     for (const auto &repro : outcome.reproducers) {
         std::fprintf(stderr, "[chaos:%s] minimized reproducer:\n%s",
                      label,
                      chaos::writeScheduleSpec(repro.minimized)
                          .c_str());
-        if (io.reproDir.empty())
+        if (repro_dir.empty())
             continue;
-        std::string name = io.reproDir + "/repro_" +
+        std::string name = repro_dir + "/repro_" +
                            repro.minimized.workload + "_" +
                            std::to_string(repro.minimized.index) +
                            ".spec";
@@ -150,26 +131,17 @@ runOne(const char *label, const chaos::CampaignSpec &spec,
 int
 main(int argc, char **argv)
 {
-    CampaignIo io;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--csv" && i + 1 < argc) {
-            io.csvPath = argv[++i];
-        } else if (arg == "--repro-dir" && i + 1 < argc) {
-            io.reproDir = argv[++i];
-        } else if (arg == "--journal-dir" && i + 1 < argc) {
-            io.journalDir = argv[++i];
-        } else if (arg == "--resume") {
-            io.resume = true;
-        } else {
-            std::fprintf(stderr,
-                         "usage: chaos_campaign [--csv out.csv] "
-                         "[--repro-dir DIR] [--journal-dir DIR] "
-                         "[--resume]\n");
-            return 2;
-        }
-    }
-    setLogLevel(LogLevel::Quiet);
+    driver::CliOptions io;
+    std::string repro_dir;
+    std::vector<driver::Flag> flags = driver::sharedFlags(
+        io, {"--csv", "--journal-dir", "--resume"});
+    flags.push_back(driver::valueFlag("--repro-dir", repro_dir));
+    driver::parseFlags(kTool, flags, argc - 1, argv + 1);
+    driver::finishCampaignFlags(kTool, io);
+    io.runner.workers = benchWorkers();
+    io.runner.progress = false;
+    io.shard.shards =
+        static_cast<unsigned>(envU64("TMI_CHAOS_SHARDS", 2));
 
     chaos::CampaignSpec batch;
     batch.base.run = benchConfig("histogramfs", Treatment::TmiProtect,
@@ -200,13 +172,13 @@ main(int argc, char **argv)
     server.schedules = envU64("TMI_CHAOS_SERVER_SCHEDULES", 16);
     server.campaignSeed = envU64("TMI_CHAOS_SEED", 1);
 
-    CampaignIo server_io = io;
+    driver::CliOptions server_io = io;
     if (!io.csvPath.empty())
         server_io.csvPath = io.csvPath + ".server";
-    if (!io.journalDir.empty())
-        server_io.journalDir = io.journalDir + "-server";
+    if (!io.shard.journalDir.empty())
+        server_io.shard.journalDir = io.shard.journalDir + "-server";
 
-    bool ok = runOne("batch", batch, io);
-    ok = runOne("server", server, server_io) && ok;
+    bool ok = runOne("batch", batch, io, repro_dir);
+    ok = runOne("server", server, server_io, repro_dir) && ok;
     return ok ? 0 : 1;
 }

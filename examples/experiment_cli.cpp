@@ -7,172 +7,51 @@
  *
  * Usage:
  *   experiment_cli --workload leveldb --treatment tmi-protect \
- *       [--threads 4] [--scale 4] [--period 100] [--huge-pages]
- *       [--threshold 100000] [--interval 2000000] [--seed 42]
- *       [--budget N] [--glibc-allocator] [--stats]
- *       [--placement default|pack|arena|isolate]
- *       [--param key=value]... [--family NAME]
- *       [--list-workloads] [--list-treatments] [--list-fault-points]
- *       [--fault point:SPEC]... [--fault-seed N]
- *       [--watchdog 0|1] [--monitor 0|1] [--watchdog-timeout N]
- *       [--trace] [--ring N] [--trace-out run.json]
- *       [--trace-csv run.csv] [--report] [--csv-out row.csv]
- *       [--plan-in plan.txt] [--plan-out plan.txt]
+ *       [--threads 4] [--scale 4] [--fault point:SPEC]... [--stats]
  *
- * Fault SPECs: always | once | once=N | p=0.5 | every=N.
+ * The run-config flags are rows of the shared flag table
+ * (src/driver/flags.cc; main() names the rows accepted here);
+ * --list-workloads, --list-treatments and --list-fault-points print
+ * the registries. Fault SPECs: always | once | once=N | p=0.5 |
+ * every=N. Exit status: 0 = valid result, 1 = the run failed or
+ * produced an invalid result, 2 = usage or config error.
  *
- * --plan-in / --plan-out serve the huron-static treatment: --plan-out
- * saves the layout plan the profiling phase synthesized, --plan-in
- * replays a saved plan directly (profiling is skipped). Together they
- * split the offline pipeline across invocations, which is what lets
- * CI pin a golden plan.
- *
- * --trace-out writes Chrome trace_event JSON: load it in
- * chrome://tracing or https://ui.perfetto.dev to scrub through the
- * detect -> repair -> fault -> ladder-drop timeline.
- *
- * --param passes one typed workload knob (repeatable); run
- * --list-workloads to see each workload's schema (knob names, types,
- * defaults). --family NAME restricts --list-workloads to one family;
- * give it before --list-workloads (flags apply in order).
+ * The outputs only this tool writes:
+ *   --trace-out run.json  Chrome trace_event JSON (ui.perfetto.dev):
+ *                         detect -> repair -> fault -> ladder drops
+ *   --trace-csv run.csv   the trace as a per-interval time series
+ *   --report              a human-readable trace report
+ *   --csv-out row.csv     the run as one robustness-CSV row
+ *   --plan-out plan.txt   the layout plan huron-static synthesized;
+ *                         --plan-in replays a saved plan directly
+ *                         (profiling skipped), which is what lets CI
+ *                         pin a golden plan
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "core/config.hh"
+#include "driver/flags.hh"
 #include "obs/export.hh"
-#include "workloads/workload.hh"
 
 using namespace tmi;
 
 namespace
 {
 
-Treatment
-parseTreatment(const std::string &name)
-{
-    if (const Treatment *t = tryParseTreatment(name))
-        return *t;
-    std::fprintf(stderr, "unknown treatment '%s'; one of:\n",
-                 name.c_str());
-    for (Treatment t : allTreatments())
-        std::fprintf(stderr, "  %s\n", treatmentName(t));
-    std::exit(2);
-}
+const char *const kTool = "experiment_cli";
 
-void
-listTreatments()
-{
-    for (Treatment t : allTreatments()) {
-        std::printf("%-18s %s\n", treatmentName(t),
-                    treatmentDescription(t));
-    }
-}
-
-/** Parse "point:SPEC" (SPEC: always|once|once=N|p=0.5|every=N). */
-std::pair<std::string, FaultSpec>
-parseFault(const std::string &arg)
-{
-    auto colon = arg.find(':');
-    if (colon == std::string::npos || colon == 0) {
-        std::fprintf(stderr,
-                     "--fault wants point:SPEC, got '%s'\n",
-                     arg.c_str());
-        std::exit(2);
-    }
-    std::string point = arg.substr(0, colon);
-    std::string spec = arg.substr(colon + 1);
-    if (spec == "always")
-        return {point, FaultSpec::always()};
-    if (spec == "once")
-        return {point, FaultSpec::once()};
-    if (spec.rfind("once=", 0) == 0) {
-        return {point, FaultSpec::once(std::strtoull(
-                           spec.c_str() + 5, nullptr, 10))};
-    }
-    if (spec.rfind("p=", 0) == 0) {
-        return {point, FaultSpec::withProbability(
-                           std::atof(spec.c_str() + 2))};
-    }
-    if (spec.rfind("every=", 0) == 0) {
-        FaultSpec s;
-        s.everyNth = std::strtoull(spec.c_str() + 6, nullptr, 10);
-        return {point, s};
-    }
-    std::fprintf(stderr,
-                 "bad fault SPEC '%s'; one of always, once, once=N, "
-                 "p=0.5, every=N\n",
-                 spec.c_str());
-    std::exit(2);
-}
-
-void
-listFaultPoints()
-{
-    for (const FaultPointInfo &info : FaultInjector::allPoints())
-        std::printf("%-26s %s\n", info.name, info.summary);
-}
-
-void
-listWorkloads(const std::string &family)
-{
-    std::printf("%-16s %-8s %-6s %-10s %s\n", "name", "family",
-                "fs?", "overhead?", "atomics/asm?");
-    bool any = false;
-    for (const auto &info : workloadRegistry()) {
-        if (!family.empty() && info.family != family)
-            continue;
-        any = true;
-        std::printf("%-16s %-8s %-6s %-10s %s\n", info.name.c_str(),
-                    info.family.c_str(),
-                    info.knownFalseSharing ? "yes" : "-",
-                    info.inOverheadSet ? "yes" : "-",
-                    info.usesAtomicsOrAsm ? "yes" : "-");
-        for (const ParamSpec &p : info.schema.specs()) {
-            std::printf("    --param %-16s %-7s default=%-8s %s\n",
-                        p.name.c_str(), paramTypeName(p.type),
-                        p.defaultText().c_str(), p.desc.c_str());
-        }
-    }
-    if (!any && !family.empty()) {
-        std::fprintf(stderr, "no workloads in family '%s'; one of:\n",
-                     family.c_str());
-        for (const std::string &f : workloadFamilies())
-            std::fprintf(stderr, "  %s\n", f.c_str());
-        std::exit(2);
-    }
-}
-
-/** Open @p path for writing or die. */
+/** Open @p path for writing or exit 2. */
 std::ofstream
 openOut(const std::string &path)
 {
     std::ofstream os(path);
-    if (!os) {
-        std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
-        std::exit(2);
-    }
+    if (!os)
+        driver::usageError(kTool, "cannot write '" + path + "'");
     return os;
-}
-
-/** Slurp @p path or die. */
-std::string
-readAll(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is) {
-        std::fprintf(stderr, "cannot read '%s'\n", path.c_str());
-        std::exit(2);
-    }
-    std::ostringstream text;
-    text << is.rdbuf();
-    return text.str();
 }
 
 } // namespace
@@ -180,122 +59,33 @@ readAll(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    ExperimentBuilder builder = Experiment::builder();
-    builder.workload("histogramfs");
-    bool stats = false;
+    driver::CliOptions opts;
+    opts.sweep.base.run.workload = "histogramfs";
     bool report = false;
-    std::string trace_out, trace_csv, csv_out;
-    std::string plan_out;
-    std::string family_filter;
+    std::string trace_out, trace_csv, csv_out, plan_out;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--workload") {
-            builder.workload(next());
-        } else if (arg == "--treatment") {
-            builder.treatment(parseTreatment(next()));
-        } else if (arg == "--threads") {
-            builder.threads(static_cast<unsigned>(std::atoi(next())));
-        } else if (arg == "--scale") {
-            builder.scale(std::strtoull(next(), nullptr, 10));
-        } else if (arg == "--period") {
-            builder.perfPeriod(std::strtoull(next(), nullptr, 10));
-        } else if (arg == "--threshold") {
-            builder.repairThreshold(std::atof(next()));
-        } else if (arg == "--interval") {
-            builder.analysisInterval(
-                std::strtoull(next(), nullptr, 10));
-        } else if (arg == "--seed") {
-            builder.seed(std::strtoull(next(), nullptr, 10));
-        } else if (arg == "--budget") {
-            builder.budget(std::strtoull(next(), nullptr, 10));
-        } else if (arg == "--param") {
-            std::pair<std::string, std::string> kv;
-            std::string perr;
-            if (!parseParamAssignment(next(), kv, perr)) {
-                std::fprintf(stderr, "--param: %s\n", perr.c_str());
-                return 2;
-            }
-            builder.param(kv.first, kv.second);
-        } else if (arg == "--family") {
-            family_filter = next();
-        } else if (arg == "--huge-pages") {
-            builder.pageShift(hugePageShift);
-        } else if (arg == "--glibc-allocator") {
-            builder.allocator(AllocatorKind::GlibcLike);
-        } else if (arg == "--placement") {
-            std::string name = next();
-            const PlacementPolicy *p = tryParsePlacement(name);
-            if (!p) {
-                std::fprintf(stderr,
-                             "unknown placement '%s'; one of:\n",
-                             name.c_str());
-                for (PlacementPolicy pp : allPlacements())
-                    std::fprintf(stderr, "  %s\n", placementName(pp));
-                return 2;
-            }
-            builder.placement(*p);
-        } else if (arg == "--fault") {
-            auto [point, spec] = parseFault(next());
-            builder.fault(point, spec);
-        } else if (arg == "--fault-seed") {
-            builder.faultSeed(std::strtoull(next(), nullptr, 10));
-        } else if (arg == "--watchdog") {
-            builder.watchdog(std::atoi(next()));
-        } else if (arg == "--monitor") {
-            builder.monitor(std::atoi(next()));
-        } else if (arg == "--watchdog-timeout") {
-            builder.watchdogTimeout(
-                std::strtoull(next(), nullptr, 10));
-        } else if (arg == "--trace") {
-            builder.trace(true);
-        } else if (arg == "--ring") {
-            obs::TraceConfig tc;
-            tc.enabled = true;
-            tc.ringCapacity = std::strtoull(next(), nullptr, 10);
-            builder.trace(tc);
-        } else if (arg == "--trace-out") {
-            trace_out = next();
-        } else if (arg == "--trace-csv") {
-            trace_csv = next();
-        } else if (arg == "--csv-out") {
-            csv_out = next();
-        } else if (arg == "--plan-in") {
-            builder.planIn(readAll(next()));
-        } else if (arg == "--plan-out") {
-            plan_out = next();
-        } else if (arg == "--report") {
-            report = true;
-        } else if (arg == "--stats") {
-            stats = true;
-        } else if (arg == "--list" || arg == "--list-workloads") {
-            listWorkloads(family_filter);
-            return 0;
-        } else if (arg == "--list-treatments") {
-            listTreatments();
-            return 0;
-        } else if (arg == "--list-fault-points") {
-            listFaultPoints();
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-            return 2;
-        }
-    }
-    builder.dumpStats(stats);
+    std::vector<driver::Flag> flags = driver::sharedFlags(
+        opts,
+        {"--workload", "--treatment", "--threads", "--scale", "--period",
+         "--threshold", "--interval", "--seed", "--budget", "--param",
+         "--huge-pages", "--glibc-allocator", "--placement", "--fault",
+         "--fault-seed", "--watchdog", "--monitor", "--watchdog-timeout",
+         "--trace", "--ring", "--stats", "--plan-in", "--family",
+         "--list", "--list-workloads", "--list-treatments",
+         "--list-fault-points"});
+    flags.push_back(driver::valueFlag("--trace-out", trace_out));
+    flags.push_back(driver::valueFlag("--trace-csv", trace_csv));
+    flags.push_back(driver::valueFlag("--csv-out", csv_out));
+    flags.push_back(driver::valueFlag("--plan-out", plan_out));
+    flags.push_back(driver::setFlag("--report", report, true));
+    driver::parseFlags(kTool, flags, argc - 1, argv + 1);
+
+    Config cfg = opts.sweep.base;
     // Any trace consumer implies recording.
     if (!trace_out.empty() || !trace_csv.empty() || report)
-        builder.trace(true);
+        cfg.run.trace.enabled = true;
+    driver::exitOnConfigErrors(kTool, cfg.validate());
 
-    Config cfg = builder.build();
     double cps = cfg.machine.cyclesPerSecond;
     RunResult res = runExperiment(cfg);
 
@@ -410,11 +200,11 @@ main(int argc, char **argv)
     }
     if (!plan_out.empty()) {
         if (res.planText.empty()) {
-            std::fprintf(stderr,
-                         "--plan-out: no plan to save (treatment "
-                         "'%s' does not synthesize one)\n",
-                         treatmentName(res.treatment));
-            return 2;
+            driver::usageError(kTool,
+                               std::string("--plan-out: no plan to "
+                                           "save (treatment '") +
+                                   treatmentName(res.treatment) +
+                                   "' does not synthesize one)");
         }
         std::ofstream os = openOut(plan_out);
         os << res.planText;
@@ -426,7 +216,7 @@ main(int argc, char **argv)
         std::printf("\n");
         obs::writeTraceReport(std::cout, res.traceEvents, cps);
     }
-    if (stats)
+    if (cfg.run.dumpStats)
         std::printf("\n%s", res.statsText.c_str());
     return res.compatible ? 0 : 1;
 }

@@ -5,21 +5,18 @@
  * Three subcommands over src/chaos/:
  *
  *   tmi-chaos campaign --workloads histogramfs,lreg \
- *       --treatments tmi-protect,sheriff-protect \
- *       [--schedules N] [--campaign-seed S] [--threads N]
- *       [--scale N] [--budget N] [--param key=value]...
- *       [--min-events N] [--max-events N]
- *       [--watchdog 0|1] [--monitor 0|1] [--recover-up N]
- *       [--no-minimize] [--minimize-limit N] [--repro-dir DIR]
- *       [--workers N] [--retries N] [--timeout-ms N]
- *       [--csv out.csv] [--no-progress] [--verbose]
- *       [--journal-dir DIR] [--shards N] [--resume]
- *       [--checkpoint-every K] [--kill-budget N]
+ *       --treatments tmi-protect,sheriff-protect [--schedules N] \
+ *       [--campaign-seed S] [--workers N] [--csv out.csv]
  *
  *     Runs goldens + N generated fault schedules per cell, streams
  *     the campaign CSV (schema: scripts/check_chaos.py), and shrinks
  *     failures to minimal reproducer spec files under --repro-dir.
- *     The CSV is byte-identical for any --workers value.
+ *     The CSV is byte-identical for any --workers value. The cell and
+ *     campaign flags are rows of the shared flag table
+ *     (src/driver/flags.cc; cmdCampaign names them); the generator
+ *     knobs --schedules, --campaign-seed, --min-events, --max-events,
+ *     --no-minimize, --minimize-limit, --buggy-dissolve and
+ *     --repro-dir are this tool's own.
  *
  *     --journal-dir turns on crash-safe orchestration: schedules run
  *     in --shards worker processes journaling every result, a
@@ -38,9 +35,7 @@
  *     with --expect-fail, when the oracle (still) catches the
  *     failure, which is how CI pins checked-in regression
  *     reproducers. --param passes workload knobs into the base
- *     config exactly as the campaign subcommand does, so a
- *     reproducer minimized from a parameterized campaign replays
- *     under the same knobs.
+ *     config exactly as the campaign subcommand does.
  *
  *   tmi-chaos minimize <spec-file> [--out file.spec] [--verbose]
  *       [--param key=value]...
@@ -53,8 +48,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -62,41 +55,26 @@
 #include <string>
 
 #include "chaos/campaign.hh"
-#include "common/logging.hh"
-#include "fault/fault_injector.hh"
-#include "workloads/params.hh"
+#include "driver/flags.hh"
 
 using namespace tmi;
 
 namespace
 {
 
-[[noreturn]] void
-usageError(const std::string &message)
-{
-    std::fprintf(stderr, "tmi-chaos: %s\n", message.c_str());
-    std::exit(2);
-}
+const char *const kTool = "tmi-chaos";
 
-void
-listFaultPoints()
-{
-    for (const FaultPointInfo &info : FaultInjector::allPoints())
-        std::printf("%-26s %s\n", info.name, info.summary);
-}
-
+/** Parse @p path; a config the schedule describes must validate
+ *  (e.g. every event names a registered fault point). */
 chaos::ChaosSchedule
-loadSchedule(const std::string &path)
+loadSchedule(const std::string &path, const Config &base)
 {
-    std::ifstream is(path);
-    if (!is)
-        usageError("cannot read spec file '" + path + "'");
-    std::ostringstream text;
-    text << is.rdbuf();
     chaos::ChaosSchedule sched;
     std::string err;
-    if (!chaos::parseScheduleSpec(text.str(), sched, err))
-        usageError(path + ": " + err);
+    if (!chaos::parseScheduleSpec(driver::readFileOrExit(kTool, path),
+                                  sched, err))
+        driver::usageError(kTool, path + ": " + err);
+    driver::exitOnConfigErrors(kTool, sched.toConfig(base).validate());
     return sched;
 }
 
@@ -119,164 +97,63 @@ printRow(const chaos::CampaignRow &row)
 int
 cmdCampaign(int argc, char **argv)
 {
+    driver::CliOptions opts;
     chaos::CampaignSpec spec;
-    driver::RunnerOptions opts;
-    opts.workers = 1;
-    opts.progress = true;
-    std::string csv_path;
     std::string repro_dir;
-    bool verbose = false;
-    std::string journal_dir;
-    unsigned shards = 1;
-    bool resume = false;
-    unsigned kill_budget = 2;
-    std::uint64_t checkpoint_every = 16;
-    bool sharded_flags = false;
+    std::vector<driver::Flag> flags = driver::sharedFlags(
+        opts,
+        {"--workloads", "--treatments", "--threads", "--scale",
+         "--budget", "--param", "--watchdog", "--monitor",
+         "--recover-up", "--workers", "--retries", "--timeout-ms",
+         "--csv", "--journal-dir", "--shards", "--resume",
+         "--checkpoint-every", "--kill-budget", "--no-progress",
+         "--verbose"});
+    flags.push_back(driver::valueFlag("--schedules", spec.schedules));
+    flags.push_back(
+        driver::valueFlag("--campaign-seed", spec.campaignSeed));
+    flags.push_back(
+        driver::valueFlag("--min-events", spec.generator.minEvents));
+    flags.push_back(
+        driver::valueFlag("--max-events", spec.generator.maxEvents));
+    flags.push_back(
+        driver::setFlag("--no-minimize", spec.minimizeFailures, false));
+    flags.push_back(
+        driver::valueFlag("--minimize-limit", spec.minimizeLimit));
+    flags.push_back(driver::setFlag("--buggy-dissolve",
+                                    spec.sheriffBuggyDissolve, true));
+    flags.push_back(driver::valueFlag("--repro-dir", repro_dir));
+    driver::parseFlags(kTool, flags, argc, argv);
+    driver::finishCampaignFlags(kTool, opts);
 
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usageError("'" + arg + "' needs a value");
-            return argv[++i];
-        };
-        std::string err;
-        if (arg == "--workloads") {
-            spec.workloads = driver::splitList(next());
-        } else if (arg == "--treatments") {
-            if (!driver::parseTreatmentList(next(), spec.treatments,
-                                            err)) {
-                usageError(err);
-            }
-        } else if (arg == "--schedules") {
-            spec.schedules = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--campaign-seed") {
-            spec.campaignSeed = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--threads") {
-            spec.base.run.threads =
-                static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--scale") {
-            spec.base.run.scale = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--budget") {
-            spec.base.run.budget = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--param") {
-            std::pair<std::string, std::string> kv;
-            if (!parseParamAssignment(next(), kv, err))
-                usageError("--param: " + err);
-            spec.base.run.params.push_back(kv);
-        } else if (arg == "--watchdog") {
-            spec.base.run.watchdog = std::atoi(next());
-        } else if (arg == "--monitor") {
-            spec.base.run.monitor = std::atoi(next());
-        } else if (arg == "--recover-up") {
-            spec.base.tmi.robust.recoverUpWindows =
-                static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--min-events") {
-            spec.generator.minEvents =
-                static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--max-events") {
-            spec.generator.maxEvents =
-                static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--no-minimize") {
-            spec.minimizeFailures = false;
-        } else if (arg == "--minimize-limit") {
-            spec.minimizeLimit =
-                static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--buggy-dissolve") {
-            spec.sheriffBuggyDissolve = true;
-        } else if (arg == "--repro-dir") {
-            repro_dir = next();
-        } else if (arg == "--workers") {
-            opts.workers = static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--retries") {
-            opts.maxAttempts =
-                static_cast<unsigned>(std::atoi(next())) + 1;
-        } else if (arg == "--timeout-ms") {
-            opts.jobTimeout = std::chrono::milliseconds(
-                std::strtoll(next(), nullptr, 10));
-        } else if (arg == "--csv") {
-            csv_path = next();
-        } else if (arg == "--journal-dir") {
-            journal_dir = next();
-        } else if (arg == "--shards") {
-            shards = static_cast<unsigned>(std::atoi(next()));
-            sharded_flags = true;
-        } else if (arg == "--resume") {
-            resume = true;
-            sharded_flags = true;
-        } else if (arg == "--checkpoint-every") {
-            checkpoint_every = static_cast<std::uint64_t>(
-                std::strtoull(next(), nullptr, 10));
-            sharded_flags = true;
-        } else if (arg == "--kill-budget") {
-            kill_budget = static_cast<unsigned>(std::atoi(next()));
-            sharded_flags = true;
-        } else if (arg == "--no-progress") {
-            opts.progress = false;
-        } else if (arg == "--verbose") {
-            verbose = true;
-        } else {
-            usageError("unknown campaign flag '" + arg + "'");
-        }
-    }
-    if (!verbose)
-        setLogLevel(LogLevel::Quiet);
-    if (sharded_flags && journal_dir.empty()) {
-        usageError("--shards/--resume/--checkpoint-every/"
-                   "--kill-budget need --journal-dir");
-    }
-
-    std::vector<ConfigError> errors = spec.validate();
-    if (!errors.empty()) {
-        for (const ConfigError &e : errors) {
-            std::fprintf(stderr, "tmi-chaos: %s: %s\n",
-                         e.field.c_str(), e.message.c_str());
-        }
-        return 2;
-    }
+    spec.base = opts.sweep.base;
+    spec.workloads = opts.sweep.workloads;
+    spec.treatments = opts.sweep.treatments;
+    driver::exitOnConfigErrors(kTool, spec.validate());
 
     std::ofstream csv_file;
-    if (!csv_path.empty()) {
-        csv_file.open(csv_path);
+    if (!opts.csvPath.empty()) {
+        csv_file.open(opts.csvPath);
         if (!csv_file)
-            usageError("cannot write '" + csv_path + "'");
+            driver::usageError(kTool,
+                               "cannot write '" + opts.csvPath + "'");
     }
-    std::ostream &os = csv_path.empty() ? std::cout : csv_file;
-    if (csv_path.empty())
-        opts.progress = false;
+    std::ostream &os = opts.csvPath.empty() ? std::cout : csv_file;
 
     chaos::CampaignOutcome outcome;
-    driver::ShardRunStats shard_stats;
-    if (!journal_dir.empty()) {
-        chaos::ShardedCampaignOptions sharded;
-        sharded.shard.shards = shards;
-        sharded.shard.journalDir = journal_dir;
-        sharded.shard.resume = resume;
-        sharded.shard.killBudget = kill_budget;
-        sharded.shard.checkpointEvery = checkpoint_every;
-        sharded.shard.runner = opts;
-        sharded.shard.runner.progress = false;
-        try {
-            outcome = chaos::runCampaignSharded(spec, sharded, &os,
-                                                &shard_stats);
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "tmi-chaos: %s\n", e.what());
-            return 2;
-        }
-        std::fprintf(
-            stderr,
-            "[chaos] %llu shard(s): %llu crash(es), %llu "
-            "respawn(s), %llu poisoned, %llu job(s) resumed from "
-            "journals\n",
-            static_cast<unsigned long long>(shard_stats.shards),
-            static_cast<unsigned long long>(shard_stats.crashes),
-            static_cast<unsigned long long>(shard_stats.respawns),
-            static_cast<unsigned long long>(shard_stats.poisoned),
-            static_cast<unsigned long long>(shard_stats.resumedJobs));
-    } else {
-        driver::Runner runner(opts);
-        outcome = chaos::runCampaign(spec, runner, &os);
-    }
+    driver::runCampaignFlags(
+        kTool, "chaos", opts,
+        [&](driver::Runner &runner) {
+            outcome = chaos::runCampaign(spec, runner, &os);
+            return runner.stats();
+        },
+        [&](const driver::ShardOptions &shard) {
+            chaos::ShardedCampaignOptions sharded;
+            sharded.shard = shard;
+            driver::ShardRunStats stats;
+            outcome =
+                chaos::runCampaignSharded(spec, sharded, &os, &stats);
+            return stats;
+        });
 
     for (const auto &repro : outcome.reproducers) {
         std::fprintf(
@@ -328,42 +205,41 @@ cmdCampaign(int argc, char **argv)
     return 0;
 }
 
+/** The spec file and base config of replay/minimize. */
+struct ScheduleArgs
+{
+    driver::CliOptions opts;
+    std::vector<std::string> files;
+
+    /** Parse @p argc args of @p argv with the extra @p flags. */
+    chaos::ChaosSchedule
+    parse(const char *cmd, std::vector<driver::Flag> flags, int argc,
+          char **argv)
+    {
+        for (driver::Flag &f :
+             driver::sharedFlags(opts, {"--param", "--verbose"}))
+            flags.push_back(std::move(f));
+        driver::parseFlags(kTool, flags, argc, argv, &files);
+        if (files.empty())
+            driver::usageError(kTool, std::string(cmd) +
+                                          " needs a spec file");
+        if (!opts.verbose)
+            setLogLevel(LogLevel::Quiet);
+        return loadSchedule(files.back(), opts.sweep.base);
+    }
+};
+
 int
 cmdReplay(int argc, char **argv)
 {
-    std::string path;
     bool expect_fail = false;
-    bool verbose = false;
-    Config base;
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usageError("'" + arg + "' needs a value");
-            return argv[++i];
-        };
-        if (arg == "--expect-fail")
-            expect_fail = true;
-        else if (arg == "--param") {
-            std::pair<std::string, std::string> kv;
-            std::string err;
-            if (!parseParamAssignment(next(), kv, err))
-                usageError("--param: " + err);
-            base.run.params.push_back(std::move(kv));
-        } else if (arg == "--verbose")
-            verbose = true;
-        else if (!arg.empty() && arg[0] != '-')
-            path = arg;
-        else
-            usageError("unknown replay flag '" + arg + "'");
-    }
-    if (path.empty())
-        usageError("replay needs a spec file");
-    if (!verbose)
-        setLogLevel(LogLevel::Quiet);
+    ScheduleArgs args;
+    chaos::ChaosSchedule sched = args.parse(
+        "replay", {driver::setFlag("--expect-fail", expect_fail, true)},
+        argc, argv);
+    const Config &base = args.opts.sweep.base;
 
-    chaos::CampaignRow row =
-        chaos::replaySchedule(loadSchedule(path), base);
+    chaos::CampaignRow row = chaos::replaySchedule(sched, base);
     printRow(row);
     bool caught = row.judgement.fail();
     if (expect_fail) {
@@ -378,38 +254,14 @@ cmdReplay(int argc, char **argv)
 int
 cmdMinimize(int argc, char **argv)
 {
-    std::string path;
     std::string out_path;
-    bool verbose = false;
-    Config base;
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usageError("'" + arg + "' needs a value");
-            return argv[++i];
-        };
-        if (arg == "--out")
-            out_path = next();
-        else if (arg == "--param") {
-            std::pair<std::string, std::string> kv;
-            std::string err;
-            if (!parseParamAssignment(next(), kv, err))
-                usageError("--param: " + err);
-            base.run.params.push_back(std::move(kv));
-        } else if (arg == "--verbose")
-            verbose = true;
-        else if (!arg.empty() && arg[0] != '-')
-            path = arg;
-        else
-            usageError("unknown minimize flag '" + arg + "'");
-    }
-    if (path.empty())
-        usageError("minimize needs a spec file");
-    if (!verbose)
-        setLogLevel(LogLevel::Quiet);
+    ScheduleArgs args;
+    chaos::ChaosSchedule sched = args.parse(
+        "minimize", {driver::valueFlag("--out", out_path)}, argc,
+        argv);
+    const std::string &path = args.files.back();
+    const Config &base = args.opts.sweep.base;
 
-    chaos::ChaosSchedule sched = loadSchedule(path);
     Config golden_cfg = sched.toConfig(base);
     golden_cfg.run.faults.clear();
     RunResult golden = runExperiment(golden_cfg);
@@ -443,7 +295,7 @@ cmdMinimize(int argc, char **argv)
     } else {
         std::ofstream os(out_path);
         if (!os)
-            usageError("cannot write '" + out_path + "'");
+            driver::usageError(kTool, "cannot write '" + out_path + "'");
         os << text;
     }
     return 0;
@@ -455,19 +307,21 @@ int
 main(int argc, char **argv)
 {
     if (argc < 2) {
-        usageError("need a subcommand: campaign, replay, minimize, "
-                   "or --list-fault-points");
+        driver::usageError(kTool, "need a subcommand: campaign, replay, "
+                                  "minimize, or --list-fault-points");
     }
     std::string cmd = argv[1];
-    if (cmd == "--list-fault-points") {
-        listFaultPoints();
-        return 0;
-    }
     if (cmd == "campaign")
         return cmdCampaign(argc - 2, argv + 2);
     if (cmd == "replay")
         return cmdReplay(argc - 2, argv + 2);
     if (cmd == "minimize")
         return cmdMinimize(argc - 2, argv + 2);
-    usageError("unknown subcommand '" + cmd + "'");
+    if (cmd[0] == '-') {
+        driver::CliOptions opts;
+        driver::parseFlags(
+            kTool, driver::sharedFlags(opts, {"--list-fault-points"}),
+            argc - 1, argv + 1);
+    }
+    driver::usageError(kTool, "unknown subcommand '" + cmd + "'");
 }

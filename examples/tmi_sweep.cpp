@@ -12,30 +12,17 @@
  * Usage:
  *   tmi-sweep --workloads histogramfs,counterarray \
  *       --treatments pthreads,tmi-protect [--scales 2,4] \
- *       [--placements default,pack,arena,isolate] \
- *       [--periods 100,1000] [--seeds 1,2,3] \
- *       [--fault-points mem.frame_exhausted] \
- *       [--fault-rates 0,0.1,0.5] \
- *       [--threads N] [--budget N] [--param key=value]... \
- *       [--plan-in plan.txt] [--spec sweep.conf] \
- *       [--workers N] [--retries N] [--timeout-ms N] \
- *       [--csv out.csv] [--no-progress] [--dry-run] [--verbose] \
- *       [--journal-dir DIR] [--shards N] [--resume] \
- *       [--checkpoint-every K] [--kill-budget N] \
- *       [--family NAME] [--list-workloads] [--list-treatments] \
- *       [--list-fault-points]
+ *       [--fault-points mem.frame_exhausted --fault-rates 0,0.5] \
+ *       [--spec sweep.conf] [--workers N] [--csv out.csv] [--dry-run]
  *
- * --plan-in loads a saved huron-static layout plan into the base
- * config: every huron-static cell replays it directly instead of
- * profiling first (other treatments ignore it).
- *
- * --spec reads the same keys from a key=value file (one per line,
- * #-comments); flags apply after the file, appending to axis lists.
- * A --workloads item of the form family:NAME expands to every
- * workload tagged with that family; --param appends one typed
- * workload knob (validated against each workload's schema).
- * --family NAME restricts --list-workloads to one family (give it
- * before --list-workloads; flags apply in order). CSV goes to stdout
+ * Every flag but --dry-run is a row of the shared flag table
+ * (src/driver/flags.cc; main() names the rows accepted here). The
+ * axis and base-config flags are the sweep-spec keys (--fault-points
+ * is fault_points): --spec reads the same keys from a key=value file,
+ * and flags apply after it in order, appending to axis lists. A
+ * --workloads item family:NAME expands to every workload of that
+ * family. --plan-in loads a saved huron-static layout plan that every
+ * huron-static cell replays instead of profiling. CSV goes to stdout
  * unless --csv is given; progress and the summary go to stderr.
  *
  * --journal-dir turns on crash-safe orchestration: the matrix is
@@ -48,210 +35,42 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 
-#include "common/logging.hh"
-#include "driver/runner.hh"
-#include "driver/supervisor.hh"
-#include "workloads/workload.hh"
+#include "driver/flags.hh"
 
 using namespace tmi;
 
 namespace
 {
 
-[[noreturn]] void
-usageError(const std::string &message)
-{
-    std::fprintf(stderr, "tmi-sweep: %s\n", message.c_str());
-    std::exit(2);
-}
-
-void
-applyOrDie(driver::SweepSpec &spec, const std::string &key,
-           const std::string &value)
-{
-    std::string err;
-    if (!driver::applySpecEntry(spec, key, value, err))
-        usageError(err);
-}
-
-void
-loadSpecFile(driver::SweepSpec &spec, const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        usageError("cannot read spec file '" + path + "'");
-    std::ostringstream text;
-    text << is.rdbuf();
-    std::string err;
-    if (!driver::parseSpecText(spec, text.str(), err))
-        usageError(path + ": " + err);
-}
+const char *const kTool = "tmi-sweep";
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    driver::SweepSpec spec;
-    driver::RunnerOptions opts;
-    opts.workers = 1;
-    opts.progress = true;
-    std::string csv_path;
+    driver::CliOptions opts;
     bool dry_run = false;
-    bool verbose = false;
-    std::string journal_dir;
-    unsigned shards = 1;
-    bool resume = false;
-    unsigned kill_budget = 2;
-    std::uint64_t checkpoint_every = 16;
-    bool sharded_flags = false; //!< any orchestration flag given
-    std::string family_filter;  //!< --family for --list-workloads
+    std::vector<driver::Flag> flags = driver::sharedFlags(
+        opts,
+        {"--spec", "--workloads", "--treatments", "--placements",
+         "--scales", "--periods", "--fault-points", "--fault-rates",
+         "--seeds", "--threads", "--budget", "--param", "--plan-in",
+         "--interval", "--watchdog", "--monitor", "--workers",
+         "--retries", "--timeout-ms", "--csv", "--journal-dir",
+         "--shards", "--resume", "--checkpoint-every", "--kill-budget",
+         "--no-progress", "--verbose", "--family", "--list-workloads",
+         "--list-treatments", "--list-fault-points"});
+    flags.push_back(driver::setFlag("--dry-run", dry_run, true));
+    driver::parseFlags(kTool, flags, argc - 1, argv + 1);
+    driver::finishCampaignFlags(kTool, opts);
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usageError("'" + arg + "' needs a value");
-            return argv[++i];
-        };
-        if (arg == "--spec") {
-            loadSpecFile(spec, next());
-        } else if (arg == "--workloads") {
-            applyOrDie(spec, "workloads", next());
-        } else if (arg == "--treatments") {
-            applyOrDie(spec, "treatments", next());
-        } else if (arg == "--placements") {
-            applyOrDie(spec, "placements", next());
-        } else if (arg == "--scales") {
-            applyOrDie(spec, "scales", next());
-        } else if (arg == "--periods") {
-            applyOrDie(spec, "periods", next());
-        } else if (arg == "--fault-points") {
-            applyOrDie(spec, "fault_points", next());
-        } else if (arg == "--fault-rates") {
-            applyOrDie(spec, "fault_rates", next());
-        } else if (arg == "--seeds") {
-            applyOrDie(spec, "seeds", next());
-        } else if (arg == "--threads") {
-            applyOrDie(spec, "threads", next());
-        } else if (arg == "--budget") {
-            applyOrDie(spec, "budget", next());
-        } else if (arg == "--param") {
-            applyOrDie(spec, "param", next());
-        } else if (arg == "--plan-in") {
-            std::ifstream is(next());
-            if (!is)
-                usageError("cannot read plan file");
-            std::ostringstream text;
-            text << is.rdbuf();
-            spec.base.run.planIn = text.str();
-        } else if (arg == "--interval") {
-            applyOrDie(spec, "interval", next());
-        } else if (arg == "--watchdog") {
-            applyOrDie(spec, "watchdog", next());
-        } else if (arg == "--monitor") {
-            applyOrDie(spec, "monitor", next());
-        } else if (arg == "--workers") {
-            opts.workers =
-                static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--retries") {
-            // N retries = N+1 attempts.
-            opts.maxAttempts =
-                static_cast<unsigned>(std::atoi(next())) + 1;
-        } else if (arg == "--timeout-ms") {
-            opts.jobTimeout = std::chrono::milliseconds(
-                std::strtoll(next(), nullptr, 10));
-        } else if (arg == "--csv") {
-            csv_path = next();
-        } else if (arg == "--journal-dir") {
-            journal_dir = next();
-        } else if (arg == "--shards") {
-            shards = static_cast<unsigned>(std::atoi(next()));
-            sharded_flags = true;
-        } else if (arg == "--resume") {
-            resume = true;
-            sharded_flags = true;
-        } else if (arg == "--checkpoint-every") {
-            checkpoint_every = static_cast<std::uint64_t>(
-                std::strtoull(next(), nullptr, 10));
-            sharded_flags = true;
-        } else if (arg == "--kill-budget") {
-            kill_budget = static_cast<unsigned>(std::atoi(next()));
-            sharded_flags = true;
-        } else if (arg == "--no-progress") {
-            opts.progress = false;
-        } else if (arg == "--verbose") {
-            verbose = true;
-        } else if (arg == "--dry-run") {
-            dry_run = true;
-        } else if (arg == "--family") {
-            family_filter = next();
-        } else if (arg == "--list-workloads") {
-            bool any = false;
-            for (const auto &info : workloadRegistry()) {
-                if (!family_filter.empty() &&
-                    info.family != family_filter)
-                    continue;
-                any = true;
-                std::printf("%-16s %s\n", info.name.c_str(),
-                            info.family.c_str());
-                for (const ParamSpec &p : info.schema.specs()) {
-                    std::printf("    %-16s %-7s default=%-8s %s\n",
-                                p.name.c_str(),
-                                paramTypeName(p.type),
-                                p.defaultText().c_str(),
-                                p.desc.c_str());
-                }
-            }
-            if (!any && !family_filter.empty()) {
-                std::fprintf(stderr,
-                             "tmi-sweep: no workloads in family "
-                             "'%s' (known:",
-                             family_filter.c_str());
-                for (const std::string &f : workloadFamilies())
-                    std::fprintf(stderr, " %s", f.c_str());
-                std::fprintf(stderr, ")\n");
-                return 2;
-            }
-            return 0;
-        } else if (arg == "--list-treatments") {
-            for (Treatment t : allTreatments()) {
-                std::printf("%-18s %s\n", treatmentName(t),
-                            treatmentDescription(t));
-            }
-            return 0;
-        } else if (arg == "--list-fault-points") {
-            for (const FaultPointInfo &info :
-                 FaultInjector::allPoints()) {
-                std::printf("%-26s %s\n", info.name, info.summary);
-            }
-            return 0;
-        } else {
-            usageError("unknown flag '" + arg + "'");
-        }
-    }
-
-    // Worker-thread inform() lines would interleave with the CSV
-    // (and with each other) nondeterministically; quiet by default.
-    if (!verbose)
-        setLogLevel(LogLevel::Quiet);
-
-    std::vector<ConfigError> errors = spec.validate();
-    if (!errors.empty()) {
-        for (const ConfigError &e : errors) {
-            std::fprintf(stderr, "tmi-sweep: %s: %s\n",
-                         e.field.c_str(), e.message.c_str());
-        }
-        return 2;
-    }
+    const driver::SweepSpec &spec = opts.sweep;
+    driver::exitOnConfigErrors(kTool, spec.validate());
 
     if (dry_run) {
         // The expansion, one line per job, without running anything.
@@ -270,63 +89,32 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (sharded_flags && journal_dir.empty()) {
-        usageError("--shards/--resume/--checkpoint-every/"
-                   "--kill-budget need --journal-dir");
-    }
-
     // The path sink owns its FILE and fsyncs on checkpoint
     // boundaries: a killed orchestrator never leaves a torn row.
     std::unique_ptr<driver::SweepCsvSink> sink;
-    if (!csv_path.empty()) {
+    if (!opts.csvPath.empty()) {
         sink = std::make_unique<driver::SweepCsvSink>(
-            csv_path, checkpoint_every);
+            opts.csvPath, opts.shard.checkpointEvery);
         if (!sink->ok())
-            usageError("cannot write '" + csv_path + "'");
+            driver::usageError(kTool,
+                               "cannot write '" + opts.csvPath + "'");
     } else {
-        // Progress uses \r; keep it off a terminal that is also
-        // receiving the CSV.
-        opts.progress = false;
         sink = std::make_unique<driver::SweepCsvSink>(std::cout);
     }
 
-    driver::SweepStats stats;
-    std::uint64_t crashes = 0, resumed = 0;
-    if (!journal_dir.empty()) {
-        driver::ShardOptions shard_opts;
-        shard_opts.shards = shards;
-        shard_opts.journalDir = journal_dir;
-        shard_opts.resume = resume;
-        shard_opts.killBudget = kill_budget;
-        shard_opts.checkpointEvery = checkpoint_every;
-        shard_opts.runner = opts;
-        shard_opts.runner.progress = false; // children share stderr
-        driver::ShardSupervisor supervisor(std::move(shard_opts));
-        driver::ShardRunStats shard_stats;
-        try {
-            shard_stats = supervisor.run(spec.expand(), sink.get());
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "tmi-sweep: %s\n", e.what());
-            return 2;
-        }
-        stats = shard_stats.sweep;
-        crashes = shard_stats.crashes;
-        resumed = shard_stats.resumedJobs;
-        std::fprintf(
-            stderr,
-            "[sweep] %llu shard(s): %llu crash(es), %llu respawn(s),"
-            " %llu job(s) resumed from journals\n",
-            static_cast<unsigned long long>(shard_stats.shards),
-            static_cast<unsigned long long>(crashes),
-            static_cast<unsigned long long>(shard_stats.respawns),
-            static_cast<unsigned long long>(resumed));
-    } else {
-        driver::Runner runner(opts);
-        runner.run(spec, sink.get());
-        stats = runner.stats();
-    }
+    driver::ShardRunStats run = driver::runCampaignFlags(
+        kTool, "sweep", opts,
+        [&](driver::Runner &runner) {
+            runner.run(spec, sink.get());
+            return runner.stats();
+        },
+        [&](const driver::ShardOptions &shard) {
+            return driver::ShardSupervisor(shard).run(spec.expand(),
+                                                      sink.get());
+        });
     sink->sync();
 
+    const driver::SweepStats &stats = run.sweep;
     std::fprintf(
         stderr,
         "[sweep] %llu jobs: %llu ok, %llu failed, %llu "
@@ -348,7 +136,7 @@ main(int argc, char **argv)
             static_cast<unsigned long long>(stats.total - stats.ok),
             static_cast<unsigned long long>(stats.total),
             static_cast<unsigned long long>(stats.poisoned),
-            static_cast<unsigned long long>(crashes));
+            static_cast<unsigned long long>(run.crashes));
         return 1;
     }
     return 0;

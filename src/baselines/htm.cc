@@ -249,6 +249,21 @@ HtmRuntime::tryRecoverUp(SiteState &site, Addr caddr, Cycles now)
 }
 
 void
+HtmRuntime::harvest(RunResult &res) const
+{
+    res.repairActive = elisionActive();
+    res.txnCommits = _m.txnCommitCount();
+    res.txnAborts = _m.txnAbortCount();
+    res.txnFallbackLocks = fallbackLocks();
+    res.commits = res.txnCommits; // commits/s column analogue
+    res.ladderRung = rungName();
+    res.watchdogFlushes = watchdogFlushes();
+    res.ladderDrops = ladderDrops();
+    res.ladderRecovers = ladderRecovers();
+    res.invariantViolations = _probe.violations();
+}
+
+void
 HtmRuntime::regStats(stats::StatGroup &group)
 {
     group.addScalar("htmFallbackLocks", &_statFallbacks,

@@ -46,6 +46,7 @@
 
 #include "core/machine.hh"
 #include "runtime/invariants.hh"
+#include "runtime/repair_runtime.hh"
 #include "runtime/robustness.hh"
 
 namespace tmi
@@ -88,13 +89,13 @@ struct HtmConfig
 };
 
 /** Speculative lock-elision runtime (Treatment::HtmElide). */
-class HtmRuntime : public RuntimeHooks
+class HtmRuntime : public RepairRuntime
 {
   public:
     HtmRuntime(Machine &machine, const HtmConfig &config = {});
 
     /** Install hooks; no daemon thread (the watchdog is lazy). */
-    void attach();
+    void attach() override;
 
     bool onMutexLock(ThreadId tid, Addr caddr) override;
     bool onMutexUnlock(ThreadId tid, Addr caddr) override;
@@ -142,7 +143,9 @@ class HtmRuntime : public RuntimeHooks
     /// @}
 
     /** Register stats under @p group. */
-    void regStats(stats::StatGroup &group);
+    void regStats(stats::StatGroup &group) override;
+
+    void harvest(RunResult &res) const override;
 
   private:
     /** Per-lock-site elision state, keyed by canonical address. */

@@ -262,6 +262,17 @@ LaserRuntime::degradeToDetectOnly(const char *reason)
 }
 
 void
+LaserRuntime::harvest(RunResult &res) const
+{
+    res.repairActive = repairActive();
+    res.fsEventsEstimated = _detector.fsEventsEstimated();
+    res.tsEventsEstimated = _detector.tsEventsEstimated();
+    res.ladderRung = rungName();
+    res.unrepairs = unrepairs();
+    res.ladderDrops = ladderDrops();
+}
+
+void
 LaserRuntime::regStats(stats::StatGroup &group)
 {
     group.addScalar("bufferedAccesses", &_statBufferedAccesses,

@@ -36,6 +36,7 @@
 
 #include "core/machine.hh"
 #include "detect/detector.hh"
+#include "runtime/repair_runtime.hh"
 #include "runtime/robustness.hh"
 
 namespace tmi
@@ -66,13 +67,13 @@ struct LaserConfig
 };
 
 /** HITM detection + software-store-buffer repair runtime. */
-class LaserRuntime : public RuntimeHooks
+class LaserRuntime : public RepairRuntime
 {
   public:
     LaserRuntime(Machine &machine, const LaserConfig &config = {});
 
     /** Install hooks and launch the detection thread. */
-    void attach();
+    void attach() override;
 
     bool interceptAccess(ThreadId tid, Addr va, bool is_write,
                          Cycles &cost) override;
@@ -110,7 +111,9 @@ class LaserRuntime : public RuntimeHooks
     /// @}
 
     /** Register stats under @p group. */
-    void regStats(stats::StatGroup &group);
+    void regStats(stats::StatGroup &group) override;
+
+    void harvest(RunResult &res) const override;
 
   private:
     void detectionLoop(ThreadApi &api);

@@ -354,6 +354,22 @@ SheriffRuntime::totalConflictBytes() const
 }
 
 void
+SheriffRuntime::harvest(RunResult &res) const
+{
+    res.repairActive = true;
+    res.commits = totalCommits();
+    res.conflictBytes = totalConflictBytes();
+    res.overheadBytes = _m.internalBytes();
+    res.ladderRung = rungName();
+    res.t2pAborts = t2pAborts();
+    res.unrepairs = unrepairs();
+    res.watchdogFlushes = watchdogFires();
+    res.cowFallbacks = cowFallbacks();
+    res.ladderDrops = ladderDrops();
+    res.invariantViolations = _invariants.violations();
+}
+
+void
 SheriffRuntime::regStats(stats::StatGroup &group)
 {
     group.addScalar("conversions", &_statConversions,

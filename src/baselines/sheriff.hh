@@ -42,6 +42,7 @@
 #include "core/machine.hh"
 #include "ptsb/ptsb.hh"
 #include "runtime/invariants.hh"
+#include "runtime/repair_runtime.hh"
 #include "runtime/robustness.hh"
 
 namespace tmi
@@ -85,14 +86,14 @@ struct SheriffConfig
 };
 
 /** Threads-as-processes, PTSB-everywhere runtime. */
-class SheriffRuntime : public RuntimeHooks
+class SheriffRuntime : public RepairRuntime
 {
   public:
     SheriffRuntime(Machine &machine, const SheriffConfig &config = {});
 
     /** Install hooks, the COW callbacks, and (when the watchdog or
      *  monitor is armed) the supervision daemon. */
-    void attach();
+    void attach() override;
 
     void onThreadCreate(ThreadId tid) override;
     void onThreadExit(ThreadId tid) override { commitThread(tid); }
@@ -147,7 +148,9 @@ class SheriffRuntime : public RuntimeHooks
     /// @}
 
     /** Register stats under @p group. */
-    void regStats(stats::StatGroup &group);
+    void regStats(stats::StatGroup &group) override;
+
+    void harvest(RunResult &res) const override;
 
   private:
     void commitThread(ThreadId tid);

@@ -7,6 +7,7 @@
 
 #include "common/fnv.hh"
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "common/rng.hh"
 #include "fault/fault_injector.hh"
 
@@ -149,6 +150,37 @@ ScheduleGenerator::generate(std::uint64_t index, Cycles horizon) const
     return sched;
 }
 
+namespace
+{
+
+/**
+ * Call @p f(key, field, default, always) for each run-cell scalar of
+ * the spec text, in write order: the one list both the writer and the
+ * parser read. The writer omits a field equal to its default unless
+ * @p always; a bool is written as 0/1.
+ */
+template <typename S, typename F>
+void
+forEachScalar(S &s, const ChaosSchedule &d, F &&f)
+{
+    f("threads", s.threads, d.threads, true);
+    f("scale", s.scale, d.scale, true);
+    f("seed", s.seed, d.seed, true);
+    f("budget", s.budget, d.budget, true);
+    f("fault_seed", s.faultSeed, d.faultSeed, true);
+    f("buggy_dissolve", s.sheriffBuggyDissolve, d.sheriffBuggyDissolve,
+      false);
+    f("watchdog", s.watchdog, d.watchdog, false);
+    f("monitor", s.monitor, d.monitor, false);
+    f("watchdog_timeout", s.watchdogTimeout, d.watchdogTimeout, false);
+    f("interval", s.analysisInterval, d.analysisInterval, false);
+    f("recover_up", s.recoverUpWindows, d.recoverUpWindows, false);
+    f("campaign_seed", s.campaignSeed, d.campaignSeed, false);
+    f("index", s.index, d.index, false);
+}
+
+} // namespace
+
 std::string
 writeScheduleSpec(const ChaosSchedule &sched)
 {
@@ -156,27 +188,13 @@ writeScheduleSpec(const ChaosSchedule &sched)
     os << "# tmi-chaos schedule (replay: tmi-chaos replay <file>)\n";
     os << "workload = " << sched.workload << "\n";
     os << "treatment = " << treatmentName(sched.treatment) << "\n";
-    os << "threads = " << sched.threads << "\n";
-    os << "scale = " << sched.scale << "\n";
-    os << "seed = " << sched.seed << "\n";
-    os << "budget = " << sched.budget << "\n";
-    os << "fault_seed = " << sched.faultSeed << "\n";
-    if (sched.sheriffBuggyDissolve)
-        os << "buggy_dissolve = 1\n";
-    if (sched.watchdog != -1)
-        os << "watchdog = " << sched.watchdog << "\n";
-    if (sched.monitor != -1)
-        os << "monitor = " << sched.monitor << "\n";
-    if (sched.watchdogTimeout != 0)
-        os << "watchdog_timeout = " << sched.watchdogTimeout << "\n";
-    if (sched.analysisInterval != 0)
-        os << "interval = " << sched.analysisInterval << "\n";
-    if (sched.recoverUpWindows != 0)
-        os << "recover_up = " << sched.recoverUpWindows << "\n";
-    if (sched.campaignSeed != 0)
-        os << "campaign_seed = " << sched.campaignSeed << "\n";
-    if (sched.index != 0)
-        os << "index = " << sched.index << "\n";
+    const ChaosSchedule defaults;
+    forEachScalar(sched, defaults,
+                  [&](const char *key, const auto &v, const auto &d,
+                      bool always) {
+                      if (always || v != d)
+                          os << key << " = " << v << "\n";
+                  });
     for (const ChaosEvent &ev : sched.events) {
         os << "event = " << ev.point;
         const FaultSpec &s = ev.spec;
@@ -218,14 +236,39 @@ trim(const std::string &s)
     return s.substr(b, e - b + 1);
 }
 
+/** Parse "A<sep>B" as two numbers. */
 bool
-parseU64(const std::string &s, std::uint64_t &out)
+parsePair(const std::string &val, char sep, std::uint64_t &a,
+          std::uint64_t &b)
 {
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(s.c_str(), &end, 10);
-    return end && *end == '\0';
+    std::size_t at = val.find(sep);
+    return at != std::string::npos &&
+           parseNumber(val.substr(0, at), a) &&
+           parseNumber(val.substr(at + 1), b);
+}
+
+/** One event attribute "key=val"; false on a bad key or value. */
+bool
+parseAttribute(const std::string &key, const std::string &val,
+               FaultSpec &spec)
+{
+    if (key == "p")
+        return parseNumber(val, spec.probability);
+    if (key == "at")
+        return parseNumber(val, spec.fireAt);
+    if (key == "every")
+        return parseNumber(val, spec.everyNth);
+    if (key == "max")
+        return parseNumber(val, spec.maxFires);
+    // The writer omits a burst whose period is zero, so one that
+    // reads back must have a period.
+    if (key == "burst") {
+        return parsePair(val, '/', spec.burstLen, spec.burstPeriod) &&
+               spec.burstPeriod != 0;
+    }
+    if (key == "window")
+        return parsePair(val, ':', spec.windowStart, spec.windowEnd);
+    return false;
 }
 
 /** Parse one "event = point k=v k=v ..." value. */
@@ -241,54 +284,39 @@ parseEvent(const std::string &value, ChaosEvent &ev, std::string &err)
     ev.point = token;
     while (is >> token) {
         auto eq = token.find('=');
-        if (eq == std::string::npos) {
-            err = "bad event attribute '" + token + "'";
-            return false;
-        }
-        std::string key = token.substr(0, eq);
-        std::string val = token.substr(eq + 1);
-        std::uint64_t u = 0;
-        if (key == "p") {
-            char *end = nullptr;
-            ev.spec.probability = std::strtod(val.c_str(), &end);
-            if (!end || *end != '\0') {
-                err = "bad probability '" + val + "'";
-                return false;
-            }
-        } else if (key == "at" && parseU64(val, u)) {
-            ev.spec.fireAt = u;
-        } else if (key == "every" && parseU64(val, u)) {
-            ev.spec.everyNth = u;
-        } else if (key == "max" && parseU64(val, u)) {
-            ev.spec.maxFires = u;
-        } else if (key == "burst") {
-            auto slash = val.find('/');
-            std::uint64_t len = 0, period = 0;
-            if (slash == std::string::npos ||
-                !parseU64(val.substr(0, slash), len) ||
-                !parseU64(val.substr(slash + 1), period)) {
-                err = "bad burst '" + val + "' (want len/period)";
-                return false;
-            }
-            ev.spec.burstLen = len;
-            ev.spec.burstPeriod = period;
-        } else if (key == "window") {
-            auto colon = val.find(':');
-            std::uint64_t start = 0, end = 0;
-            if (colon == std::string::npos ||
-                !parseU64(val.substr(0, colon), start) ||
-                !parseU64(val.substr(colon + 1), end)) {
-                err = "bad window '" + val + "' (want start:end)";
-                return false;
-            }
-            ev.spec.windowStart = start;
-            ev.spec.windowEnd = end;
-        } else {
-            err = "bad event attribute '" + token + "'";
+        if (eq == std::string::npos ||
+            !parseAttribute(token.substr(0, eq), token.substr(eq + 1),
+                            ev.spec)) {
+            err = "bad event attribute '" + token +
+                  "' (p=X at=N every=N max=N burst=LEN/PERIOD "
+                  "window=START:END)";
             return false;
         }
     }
     return true;
+}
+
+/** One run-cell scalar "key = value", parsed as its field's type;
+ *  false on a bad key or value. */
+bool
+parseScalar(const std::string &key, const std::string &value,
+            ChaosSchedule &sched)
+{
+    bool ok = false;
+    forEachScalar(sched, ChaosSchedule{},
+                  [&](const char *k, auto &field, const auto &, bool) {
+                      if (key != k)
+                          return;
+                      if constexpr (std::is_same_v<decltype(field),
+                                                   bool &>) {
+                          std::uint64_t on = 0;
+                          ok = parseNumber(value, on);
+                          field = on != 0;
+                      } else {
+                          ok = parseNumber(value, field);
+                      }
+                  });
+    return ok;
 }
 
 } // namespace
@@ -319,7 +347,6 @@ parseScheduleSpec(const std::string &text, ChaosSchedule &sched,
         std::string key = trim(line.substr(0, eq));
         std::string value = trim(line.substr(eq + 1));
         std::string detail;
-        std::uint64_t u = 0;
         if (key == "workload") {
             sched.workload = value;
             saw_workload = true;
@@ -331,32 +358,6 @@ parseScheduleSpec(const std::string &text, ChaosSchedule &sched,
                 return false;
             }
             sched.treatment = *t;
-        } else if (key == "threads" && parseU64(value, u)) {
-            sched.threads = static_cast<unsigned>(u);
-        } else if (key == "scale" && parseU64(value, u)) {
-            sched.scale = u;
-        } else if (key == "seed" && parseU64(value, u)) {
-            sched.seed = u;
-        } else if (key == "budget" && parseU64(value, u)) {
-            sched.budget = u;
-        } else if (key == "fault_seed" && parseU64(value, u)) {
-            sched.faultSeed = u;
-        } else if (key == "buggy_dissolve" && parseU64(value, u)) {
-            sched.sheriffBuggyDissolve = u != 0;
-        } else if (key == "watchdog" && parseU64(value, u)) {
-            sched.watchdog = static_cast<int>(u);
-        } else if (key == "monitor" && parseU64(value, u)) {
-            sched.monitor = static_cast<int>(u);
-        } else if (key == "watchdog_timeout" && parseU64(value, u)) {
-            sched.watchdogTimeout = u;
-        } else if (key == "interval" && parseU64(value, u)) {
-            sched.analysisInterval = u;
-        } else if (key == "recover_up" && parseU64(value, u)) {
-            sched.recoverUpWindows = static_cast<unsigned>(u);
-        } else if (key == "campaign_seed" && parseU64(value, u)) {
-            sched.campaignSeed = u;
-        } else if (key == "index" && parseU64(value, u)) {
-            sched.index = u;
         } else if (key == "event") {
             ChaosEvent ev;
             if (!parseEvent(value, ev, detail)) {
@@ -365,7 +366,7 @@ parseScheduleSpec(const std::string &text, ChaosSchedule &sched,
                 return false;
             }
             sched.events.push_back(std::move(ev));
-        } else {
+        } else if (!parseScalar(key, value, sched)) {
             err = "line " + std::to_string(lineno) +
                   ": bad key or value in '" + line + "'";
             return false;

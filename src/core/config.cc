@@ -116,13 +116,6 @@ ExperimentBuilder::dumpStats(bool on)
 }
 
 ExperimentBuilder &
-ExperimentBuilder::planIn(const std::string &text)
-{
-    _config.run.planIn = text;
-    return *this;
-}
-
-ExperimentBuilder &
 ExperimentBuilder::param(const std::string &key,
                          const std::string &value)
 {
@@ -148,13 +141,6 @@ ExperimentBuilder &
 ExperimentBuilder::watchdog(int mode)
 {
     _config.run.watchdog = mode;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::watchdogTimeout(Cycles timeout)
-{
-    _config.run.watchdogTimeout = timeout;
     return *this;
 }
 

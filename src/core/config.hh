@@ -98,8 +98,6 @@ class ExperimentBuilder
     ExperimentBuilder &budget(Cycles cycles);
     ExperimentBuilder &seed(std::uint64_t s);
     ExperimentBuilder &dumpStats(bool on = true);
-    /** Layout-plan text for huron-static replay (skips profiling). */
-    ExperimentBuilder &planIn(const std::string &text);
     /** Append one workload knob (raw; validated at build/run). */
     ExperimentBuilder &param(const std::string &key,
                              const std::string &value);
@@ -108,7 +106,6 @@ class ExperimentBuilder
                              const FaultSpec &spec);
     ExperimentBuilder &faultSeed(std::uint64_t s);
     ExperimentBuilder &watchdog(int mode);
-    ExperimentBuilder &watchdogTimeout(Cycles timeout);
     ExperimentBuilder &monitor(int mode);
     /// @}
 

@@ -17,83 +17,186 @@
 namespace tmi
 {
 
+namespace
+{
+
+/** Tmi's five activation levels and ablations share one runtime; the
+ *  treatment picks its mode, CCC and PTSB scope. */
+std::unique_ptr<RepairRuntime>
+makeTmi(Machine &machine, const Config &full)
+{
+    const ExperimentConfig &config = full.run;
+    TmiConfig tc = full.tmi;
+    tc.mode = config.treatment == Treatment::TmiAlloc
+                  ? TmiMode::AllocOnly
+              : config.treatment == Treatment::TmiDetect
+                  ? TmiMode::DetectOnly
+                  : TmiMode::DetectAndRepair;
+    tc.cccEnabled = config.treatment != Treatment::TmiProtectNoCcc;
+    // The no-CCC ablation applies the PTSB indiscriminately: the
+    // Figure 11/12 question is what an unguarded PTSB does to
+    // atomics/asm, not whether targeted detection happens to choose
+    // their pages.
+    tc.ptsbEverywhere = config.treatment == Treatment::PtsbEverywhere ||
+                        config.treatment == Treatment::TmiProtectNoCcc;
+    tc.detector.repairThreshold = config.repairThreshold;
+    tc.analysisInterval = config.analysisInterval;
+    // The ablation treatments exist to reproduce the paper's failure
+    // modes (Fig. 11/12 hangs and racy merges), so the self-healing
+    // machinery defaults off for them and the failure is allowed to
+    // unfold unless explicitly overridden.
+    bool ablation = config.treatment == Treatment::TmiProtectNoCcc ||
+                    config.treatment == Treatment::PtsbEverywhere;
+    tc.robust.watchdogEnabled =
+        config.watchdog == -1 ? !ablation : config.watchdog != 0;
+    tc.robust.monitorEnabled =
+        config.monitor == -1 ? !ablation : config.monitor != 0;
+    if (config.watchdogTimeout != 0)
+        tc.robust.watchdogTimeout = config.watchdogTimeout;
+    return std::make_unique<TmiRuntime>(machine, tc);
+}
+
+std::unique_ptr<RepairRuntime>
+makeSheriff(Machine &machine, const Config &full)
+{
+    const ExperimentConfig &config = full.run;
+    SheriffConfig sc;
+    sc.detectMode = config.treatment == Treatment::SheriffDetect;
+    // Stock Sheriff has no self-healing, so -1 keeps the watchdog and
+    // monitor off and lets its documented failure modes unfold;
+    // robustness sweeps arm them explicitly for apples-to-apples
+    // ladder comparisons against Tmi.
+    sc.robust.watchdogEnabled = config.watchdog == 1;
+    sc.robust.monitorEnabled = config.monitor == 1;
+    sc.monitorInterval = config.analysisInterval;
+    if (config.watchdogTimeout != 0)
+        sc.robust.watchdogTimeout = config.watchdogTimeout;
+    sc.buggyDissolveOrder = config.sheriffBuggyDissolve;
+    return std::make_unique<SheriffRuntime>(machine, sc);
+}
+
+std::unique_ptr<RepairRuntime>
+makeLaser(Machine &machine, const Config &full)
+{
+    const ExperimentConfig &config = full.run;
+    LaserConfig lc;
+    lc.detector.repairThreshold = config.repairThreshold;
+    lc.analysisInterval = config.analysisInterval;
+    // Same convention as Sheriff: the effectiveness/perf-health
+    // monitor is opt-in, preserving stock LASER behaviour (e.g. the
+    // histogram slowdown) unless a sweep arms it.
+    lc.robust.monitorEnabled = config.monitor == 1;
+    return std::make_unique<LaserRuntime>(machine, lc);
+}
+
+std::unique_ptr<RepairRuntime>
+makeHtm(Machine &machine, const Config &full)
+{
+    HtmConfig hc;
+    hc.robust = full.tmi.robust;
+    hc.robust.monitorEnabled = false; // no repair to judge
+    // The abort-storm watchdog is this backend's livelock defence, so
+    // unlike the ablations it defaults on.
+    hc.robust.watchdogEnabled =
+        full.run.watchdog == -1 ? true : full.run.watchdog != 0;
+    return std::make_unique<HtmRuntime>(machine, hc);
+}
+
+/** One treatment: everything the driver needs to know about it. */
+struct TreatmentRow
+{
+    Treatment treatment;
+    const char *name;        //!< report/CSV/CLI name
+    const char *description; //!< --list-treatments line
+    /** Application memory comes from process-shared, file-backed
+     *  mappings with the modified small-object policy (Tmi and
+     *  Sheriff); the rest run the stock allocator on anonymous
+     *  memory. */
+    bool shmBackedHeap;
+    /** Builds the runtime from the cell's Config; null = no runtime.
+     *  huron-static is null too: its two phases run plain machines
+     *  and bring their profiler/applier through runCell's callbacks
+     *  (runHuronStatic below). */
+    std::unique_ptr<RepairRuntime> (*make)(Machine &, const Config &);
+};
+
+/** Every treatment, in declaration (= report) order. */
+constexpr TreatmentRow kTreatments[] = {
+    {Treatment::Pthreads, "pthreads",
+     "plain execution, stock allocator (baseline)", false, nullptr},
+    {Treatment::Manual, "manual",
+     "source-level fix: hand padding/alignment", false, nullptr},
+    {Treatment::TmiAlloc, "tmi-alloc",
+     "TMI's process-shared allocator only", true, makeTmi},
+    {Treatment::TmiDetect, "tmi-detect",
+     "TMI allocator + HITM sampling and detection thread", true,
+     makeTmi},
+    {Treatment::TmiProtect, "tmi-protect",
+     "full TMI: detection + online page privatization", true, makeTmi},
+    {Treatment::TmiProtectNoCcc, "tmi-protect-no-ccc",
+     "ablation: PTSB everywhere with CCC off (Fig. 11/12)", true,
+     makeTmi},
+    {Treatment::PtsbEverywhere, "ptsb-everywhere",
+     "ablation: repair protects the whole heap", true, makeTmi},
+    {Treatment::SheriffDetect, "sheriff-detect",
+     "Sheriff detection tool (prior work)", true, makeSheriff},
+    {Treatment::SheriffProtect, "sheriff-protect",
+     "Sheriff repair tool (buffers atomics too)", true, makeSheriff},
+    {Treatment::Laser, "laser",
+     "LASER detection + software store-buffer repair", false,
+     makeLaser},
+    {Treatment::HuronStatic, "huron-static",
+     "Huron-style offline repair: profile, plan layout, replay with "
+     "apply-at-alloc",
+     false, nullptr},
+    {Treatment::HtmElide, "htm-elide",
+     "HTM lock elision: bounded txns with retry/fallback and an "
+     "abort-storm watchdog",
+     false, makeHtm},
+};
+
+constexpr bool
+rowsInEnumOrder()
+{
+    for (std::size_t i = 0; i < std::size(kTreatments); ++i) {
+        if (static_cast<std::size_t>(kTreatments[i].treatment) != i)
+            return false;
+    }
+    return std::size(kTreatments) ==
+           static_cast<std::size_t>(Treatment::HtmElide) + 1;
+}
+static_assert(rowsInEnumOrder(),
+              "kTreatments must list every Treatment in enum order");
+
+const TreatmentRow &
+treatmentRow(Treatment t)
+{
+    return kTreatments[static_cast<std::size_t>(t)];
+}
+
+} // namespace
+
 const char *
 treatmentName(Treatment t)
 {
-    switch (t) {
-      case Treatment::Pthreads:
-        return "pthreads";
-      case Treatment::Manual:
-        return "manual";
-      case Treatment::TmiAlloc:
-        return "tmi-alloc";
-      case Treatment::TmiDetect:
-        return "tmi-detect";
-      case Treatment::TmiProtect:
-        return "tmi-protect";
-      case Treatment::TmiProtectNoCcc:
-        return "tmi-protect-no-ccc";
-      case Treatment::PtsbEverywhere:
-        return "ptsb-everywhere";
-      case Treatment::SheriffDetect:
-        return "sheriff-detect";
-      case Treatment::SheriffProtect:
-        return "sheriff-protect";
-      case Treatment::Laser:
-        return "laser";
-      case Treatment::HuronStatic:
-        return "huron-static";
-      case Treatment::HtmElide:
-        return "htm-elide";
-    }
-    return "?";
+    return treatmentRow(t).name;
 }
 
 const char *
 treatmentDescription(Treatment t)
 {
-    switch (t) {
-      case Treatment::Pthreads:
-        return "plain execution, stock allocator (baseline)";
-      case Treatment::Manual:
-        return "source-level fix: hand padding/alignment";
-      case Treatment::TmiAlloc:
-        return "TMI's process-shared allocator only";
-      case Treatment::TmiDetect:
-        return "TMI allocator + HITM sampling and detection thread";
-      case Treatment::TmiProtect:
-        return "full TMI: detection + online page privatization";
-      case Treatment::TmiProtectNoCcc:
-        return "ablation: PTSB everywhere with CCC off (Fig. 11/12)";
-      case Treatment::PtsbEverywhere:
-        return "ablation: repair protects the whole heap";
-      case Treatment::SheriffDetect:
-        return "Sheriff detection tool (prior work)";
-      case Treatment::SheriffProtect:
-        return "Sheriff repair tool (buffers atomics too)";
-      case Treatment::Laser:
-        return "LASER detection + software store-buffer repair";
-      case Treatment::HuronStatic:
-        return "Huron-style offline repair: profile, plan layout, "
-               "replay with apply-at-alloc";
-      case Treatment::HtmElide:
-        return "HTM lock elision: bounded txns with retry/fallback "
-               "and an abort-storm watchdog";
-    }
-    return "?";
+    return treatmentRow(t).description;
 }
 
 const std::vector<Treatment> &
 allTreatments()
 {
-    static const std::vector<Treatment> all = {
-        Treatment::Pthreads,        Treatment::Manual,
-        Treatment::TmiAlloc,        Treatment::TmiDetect,
-        Treatment::TmiProtect,      Treatment::TmiProtectNoCcc,
-        Treatment::PtsbEverywhere,  Treatment::SheriffDetect,
-        Treatment::SheriffProtect,  Treatment::Laser,
-        Treatment::HuronStatic,     Treatment::HtmElide,
-    };
+    static const std::vector<Treatment> all = [] {
+        std::vector<Treatment> v;
+        for (const TreatmentRow &row : kTreatments)
+            v.push_back(row.treatment);
+        return v;
+    }();
     return all;
 }
 
@@ -110,61 +213,19 @@ tryParseTreatment(const std::string &name)
 const char *
 placementName(PlacementPolicy p)
 {
-    switch (p) {
-      case PlacementPolicy::Default:
-        return "default";
-      case PlacementPolicy::Pack:
-        return "pack";
-      case PlacementPolicy::Arena:
-        return "arena";
-      case PlacementPolicy::Isolate:
-        return "isolate";
-    }
-    return "?";
+    static constexpr const char *kNames[] = {"default", "pack", "arena",
+                                             "isolate"};
+    return kNames[static_cast<std::size_t>(p)];
 }
 
 const std::vector<PlacementPolicy> &
 allPlacements()
 {
     static const std::vector<PlacementPolicy> all = {
-        PlacementPolicy::Default,
-        PlacementPolicy::Pack,
-        PlacementPolicy::Arena,
-        PlacementPolicy::Isolate,
-    };
+        PlacementPolicy::Default, PlacementPolicy::Pack,
+        PlacementPolicy::Arena, PlacementPolicy::Isolate};
     return all;
 }
-
-const PlacementPolicy *
-tryParsePlacement(const std::string &name)
-{
-    for (const PlacementPolicy &p : allPlacements()) {
-        if (name == placementName(p))
-            return &p;
-    }
-    return nullptr;
-}
-
-namespace
-{
-
-bool
-isTmiTreatment(Treatment t)
-{
-    return t == Treatment::TmiAlloc || t == Treatment::TmiDetect ||
-           t == Treatment::TmiProtect ||
-           t == Treatment::TmiProtectNoCcc ||
-           t == Treatment::PtsbEverywhere;
-}
-
-bool
-isSheriffTreatment(Treatment t)
-{
-    return t == Treatment::SheriffDetect ||
-           t == Treatment::SheriffProtect;
-}
-
-} // namespace
 
 void
 validateConfig(const ExperimentConfig &config,
@@ -206,8 +267,7 @@ validateConfig(const ExperimentConfig &config,
                           "must be between 12 (4 KB) and 21 (2 MB)"});
     }
     if (config.placement != PlacementPolicy::Default &&
-        (isTmiTreatment(config.treatment) ||
-         isSheriffTreatment(config.treatment))) {
+        treatmentRow(config.treatment).shmBackedHeap) {
         errors.push_back({prefix + ".placement",
                           "the shm-backed treatments own their "
                           "allocator policy; the placement axis "
@@ -245,10 +305,9 @@ validateConfig(const ExperimentConfig &config,
                           "or 1 (on)"});
     }
     for (const auto &[point, spec] : config.faults) {
-        if (point.empty()) {
-            errors.push_back({prefix + ".faults",
-                              "fault points need non-empty names"});
-        }
+        std::string why = FaultInjector::unknownPointError(point);
+        if (!why.empty())
+            errors.push_back({prefix + ".faults", why});
         if (spec.probability < 0.0 || spec.probability > 1.0) {
             errors.push_back({prefix + ".faults[" + point + "]",
                               "probability must be in [0, 1]"});
@@ -314,37 +373,24 @@ runCell(const Config &full,
     mc.allocator = config.allocator;
     mc.perf.period = config.perfPeriod;
     mc.seed = config.seed;
-    // Tmi and Sheriff serve application memory from process-shared,
-    // file-backed mappings and use the modified small-object policy;
-    // pthreads/manual/LASER run the stock allocator on anonymous
-    // memory.
-    mc.shmBackedHeap =
-        isTmiTreatment(config.treatment) ||
-        isSheriffTreatment(config.treatment);
+    const TreatmentRow &treatment = treatmentRow(config.treatment);
+    mc.shmBackedHeap = treatment.shmBackedHeap;
     mc.tmiModifiedAllocator = mc.shmBackedHeap;
     // The malloc-placement axis overrides the treatment's allocator
     // defaults (validateConfig rejects it for the shm-backed
     // treatments, whose repair machinery owns the layout policy).
-    switch (config.placement) {
-      case PlacementPolicy::Default:
-        break;
-      case PlacementPolicy::Pack:
-        // Dense shared-arena packing: 16-byte granules plus the 8-byte
-        // header skew mean small objects from different threads share
-        // lines routinely.
-        mc.allocator = AllocatorKind::GlibcLike;
-        mc.tmiModifiedAllocator = false;
-        break;
-      case PlacementPolicy::Arena:
-        mc.allocator = AllocatorKind::Lockless;
-        mc.tmiModifiedAllocator = false;
-        break;
-      case PlacementPolicy::Isolate:
-        // Per-thread arenas plus the line-granular small-object floor:
-        // no two threads' small objects ever share a cache line.
-        mc.allocator = AllocatorKind::Lockless;
-        mc.tmiModifiedAllocator = true;
-        break;
+    if (config.placement != PlacementPolicy::Default) {
+        // Pack: the glibc-like shared arena's dense 16-byte granules
+        // plus the 8-byte header skew put small objects from
+        // different threads on shared lines routinely. Arena:
+        // per-thread size-class arenas. Isolate: per-thread arenas
+        // plus the line-granular small-object floor, so no two
+        // threads' small objects ever share a cache line.
+        mc.allocator = config.placement == PlacementPolicy::Pack
+                           ? AllocatorKind::GlibcLike
+                           : AllocatorKind::Lockless;
+        mc.tmiModifiedAllocator =
+            config.placement == PlacementPolicy::Isolate;
     }
     mc.faults = config.faults;
     mc.faultSeed = config.faultSeed;
@@ -372,99 +418,10 @@ runCell(const Config &full,
     std::unique_ptr<Workload> workload = info.make(params);
     workload->init(machine);
 
-    std::unique_ptr<TmiRuntime> tmi;
-    std::unique_ptr<SheriffRuntime> sheriff;
-    std::unique_ptr<LaserRuntime> laser;
-    std::unique_ptr<HtmRuntime> htm;
-
-    switch (config.treatment) {
-      case Treatment::Pthreads:
-      case Treatment::Manual:
-        break;
-      case Treatment::HuronStatic:
-        // No runtime: both static-repair phases run plain machines;
-        // the profiler/applier arrive through the prepare callback.
-        break;
-      case Treatment::TmiAlloc:
-      case Treatment::TmiDetect:
-      case Treatment::TmiProtect:
-      case Treatment::TmiProtectNoCcc:
-      case Treatment::PtsbEverywhere: {
-        TmiConfig tc = full.tmi;
-        tc.mode = config.treatment == Treatment::TmiAlloc
-                      ? TmiMode::AllocOnly
-                  : config.treatment == Treatment::TmiDetect
-                      ? TmiMode::DetectOnly
-                      : TmiMode::DetectAndRepair;
-        tc.cccEnabled = config.treatment != Treatment::TmiProtectNoCcc;
-        // The no-CCC ablation applies the PTSB indiscriminately: the
-        // Figure 11/12 question is what an unguarded PTSB does to
-        // atomics/asm, not whether targeted detection happens to
-        // choose their pages.
-        tc.ptsbEverywhere =
-            config.treatment == Treatment::PtsbEverywhere ||
-            config.treatment == Treatment::TmiProtectNoCcc;
-        tc.detector.repairThreshold = config.repairThreshold;
-        tc.analysisInterval = config.analysisInterval;
-        // The ablation treatments exist to reproduce the paper's
-        // failure modes (Fig. 11/12 hangs and racy merges), so the
-        // self-healing machinery defaults off for them and the
-        // failure is allowed to unfold unless explicitly overridden.
-        bool ablation =
-            config.treatment == Treatment::TmiProtectNoCcc ||
-            config.treatment == Treatment::PtsbEverywhere;
-        tc.robust.watchdogEnabled =
-            config.watchdog == -1 ? !ablation : config.watchdog != 0;
-        tc.robust.monitorEnabled =
-            config.monitor == -1 ? !ablation : config.monitor != 0;
-        if (config.watchdogTimeout != 0)
-            tc.robust.watchdogTimeout = config.watchdogTimeout;
-        tmi = std::make_unique<TmiRuntime>(machine, tc);
-        tmi->attach();
-        break;
-      }
-      case Treatment::SheriffDetect:
-      case Treatment::SheriffProtect: {
-        SheriffConfig sc;
-        sc.detectMode = config.treatment == Treatment::SheriffDetect;
-        // Stock Sheriff has no self-healing, so -1 keeps the watchdog
-        // and monitor off and lets its documented failure modes
-        // unfold; robustness sweeps arm them explicitly for
-        // apples-to-apples ladder comparisons against Tmi.
-        sc.robust.watchdogEnabled = config.watchdog == 1;
-        sc.robust.monitorEnabled = config.monitor == 1;
-        sc.monitorInterval = config.analysisInterval;
-        if (config.watchdogTimeout != 0)
-            sc.robust.watchdogTimeout = config.watchdogTimeout;
-        sc.buggyDissolveOrder = config.sheriffBuggyDissolve;
-        sheriff = std::make_unique<SheriffRuntime>(machine, sc);
-        sheriff->attach();
-        break;
-      }
-      case Treatment::Laser: {
-        LaserConfig lc;
-        lc.detector.repairThreshold = config.repairThreshold;
-        lc.analysisInterval = config.analysisInterval;
-        // Same convention as Sheriff: the effectiveness/perf-health
-        // monitor is opt-in, preserving stock LASER behaviour (e.g.
-        // the histogram slowdown) unless a sweep arms it.
-        lc.robust.monitorEnabled = config.monitor == 1;
-        laser = std::make_unique<LaserRuntime>(machine, lc);
-        laser->attach();
-        break;
-      }
-      case Treatment::HtmElide: {
-        HtmConfig hc;
-        hc.robust = full.tmi.robust;
-        hc.robust.monitorEnabled = false; // no repair to judge
-        // The abort-storm watchdog is this backend's livelock
-        // defence, so unlike the ablations it defaults on.
-        hc.robust.watchdogEnabled =
-            config.watchdog == -1 ? true : config.watchdog != 0;
-        htm = std::make_unique<HtmRuntime>(machine, hc);
-        htm->attach();
-        break;
-      }
+    std::unique_ptr<RepairRuntime> runtime;
+    if (treatment.make) {
+        runtime = treatment.make(machine, full);
+        runtime->attach();
     }
 
     Workload *wl = workload.get();
@@ -504,55 +461,8 @@ runCell(const Config &full,
         res.sojournP999 = lat->p999();
     }
 
-    if (tmi) {
-        res.repairActive = tmi->repairActive();
-        res.repairStartCycles = tmi->repairStartCycles();
-        res.t2pCycles = tmi->t2pCycles();
-        res.commits = tmi->totalCommits();
-        res.conflictBytes = tmi->totalConflictBytes();
-        res.pagesProtected = tmi->protectedPageCount();
-        res.overheadBytes = tmi->overheadBytes();
-        res.fsEventsEstimated = tmi->detector().fsEventsEstimated();
-        res.tsEventsEstimated = tmi->detector().tsEventsEstimated();
-        res.ladderRung = tmiModeName(tmi->rung());
-        res.t2pAborts = tmi->t2pAborts();
-        res.unrepairs = tmi->unrepairs();
-        res.watchdogFlushes = tmi->watchdogFires();
-        res.cowFallbacks = tmi->cowFallbacks();
-        res.ladderDrops = tmi->ladderDrops();
-        res.ladderRecovers = tmi->ladderRecovers();
-        res.invariantViolations = tmi->invariants().violations();
-    } else if (sheriff) {
-        res.repairActive = true;
-        res.commits = sheriff->totalCommits();
-        res.conflictBytes = sheriff->totalConflictBytes();
-        res.overheadBytes = machine.internalBytes();
-        res.ladderRung = sheriff->rungName();
-        res.t2pAborts = sheriff->t2pAborts();
-        res.unrepairs = sheriff->unrepairs();
-        res.watchdogFlushes = sheriff->watchdogFires();
-        res.cowFallbacks = sheriff->cowFallbacks();
-        res.ladderDrops = sheriff->ladderDrops();
-        res.invariantViolations = sheriff->invariants().violations();
-    } else if (laser) {
-        res.repairActive = laser->repairActive();
-        res.fsEventsEstimated = laser->detector().fsEventsEstimated();
-        res.tsEventsEstimated = laser->detector().tsEventsEstimated();
-        res.ladderRung = laser->rungName();
-        res.unrepairs = laser->unrepairs();
-        res.ladderDrops = laser->ladderDrops();
-    } else if (htm) {
-        res.repairActive = htm->elisionActive();
-        res.txnCommits = machine.txnCommitCount();
-        res.txnAborts = machine.txnAbortCount();
-        res.txnFallbackLocks = htm->fallbackLocks();
-        res.commits = res.txnCommits; // commits/s column analogue
-        res.ladderRung = htm->rungName();
-        res.watchdogFlushes = htm->watchdogFlushes();
-        res.ladderDrops = htm->ladderDrops();
-        res.ladderRecovers = htm->ladderRecovers();
-        res.invariantViolations = htm->probe().violations();
-    }
+    if (runtime)
+        runtime->harvest(res);
     if (res.seconds > 0) {
         res.commitsPerSec =
             static_cast<double>(res.commits) / res.seconds;
@@ -568,14 +478,8 @@ runCell(const Config &full,
         stats::StatGroup machine_group("machine");
         machine.regStats(machine_group);
         stats::StatGroup runtime_group("runtime");
-        if (tmi)
-            tmi->regStats(runtime_group);
-        else if (sheriff)
-            sheriff->regStats(runtime_group);
-        else if (laser)
-            laser->regStats(runtime_group);
-        else if (htm)
-            htm->regStats(runtime_group);
+        if (runtime)
+            runtime->regStats(runtime_group);
 
         if (config.dumpStats) {
             std::ostringstream os;

@@ -78,9 +78,6 @@ const char *placementName(PlacementPolicy p);
 /** Every placement policy, in declaration order. */
 const std::vector<PlacementPolicy> &allPlacements();
 
-/** Parse a placement name; null on no match. */
-const PlacementPolicy *tryParsePlacement(const std::string &name);
-
 using ParamList = std::vector<std::pair<std::string, std::string>>;
 using FaultList = std::vector<std::pair<std::string, FaultSpec>>;
 

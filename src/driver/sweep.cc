@@ -1,10 +1,9 @@
 #include "sweep.hh"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
+#include "common/parse_number.hh"
 #include "workloads/workload.hh"
 
 namespace tmi::driver
@@ -94,10 +93,9 @@ SweepSpec::validate() const
             errors.push_back({"SweepSpec.periods", "must be >= 1"});
     }
     for (const std::string &p : faultPoints) {
-        if (p.empty()) {
-            errors.push_back({"SweepSpec.faultPoints",
-                              "fault points need non-empty names"});
-        }
+        std::string why = FaultInjector::unknownPointError(p);
+        if (!why.empty())
+            errors.push_back({"SweepSpec.faultPoints", why});
     }
     for (double r : faultRates) {
         if (r < 0.0 || r > 1.0) {
@@ -198,32 +196,6 @@ trim(const std::string &s)
     return s.substr(b, e - b + 1);
 }
 
-bool
-parseOneU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0')
-        return false;
-    out = v;
-    return true;
-}
-
-bool
-parseOneDouble(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0')
-        return false;
-    out = v;
-    return true;
-}
-
 } // namespace
 
 std::vector<std::string>
@@ -240,65 +212,89 @@ splitList(const std::string &csv)
     return out;
 }
 
+namespace
+{
+
+/** Parse each item of a comma list with @p parseOne(item, value, err);
+ *  false on the first bad one. */
+template <typename T, typename ParseOne>
+bool
+parseEach(const std::string &csv, std::vector<T> &out, std::string &err,
+          ParseOne parseOne)
+{
+    for (const std::string &item : splitList(csv)) {
+        T v{};
+        if (!parseOne(item, v, err))
+            return false;
+        out.push_back(v);
+    }
+    return true;
+}
+
+/** @p item as the member of @p all that @p nameOf names; the error
+ *  lists every valid name. */
+template <typename T>
+bool
+parseName(const std::string &item, T &out, std::string &err,
+          const std::vector<T> &all, const char *(*nameOf)(T),
+          const char *kind)
+{
+    for (T t : all) {
+        if (item == nameOf(t)) {
+            out = t;
+            return true;
+        }
+    }
+    err = std::string("unknown ") + kind + " '" + item + "' (one of:";
+    for (T t : all)
+        err += std::string(" ") + nameOf(t);
+    err += ")";
+    return false;
+}
+
+const auto kNumber = [](const std::string &item, auto &v,
+                        std::string &err) {
+    return parseNumber(item, v, err);
+};
+
+} // namespace
+
 bool
 parseU64List(const std::string &csv, std::vector<std::uint64_t> &out,
              std::string &err)
 {
-    for (const std::string &item : splitList(csv)) {
-        std::uint64_t v = 0;
-        if (!parseOneU64(item, v)) {
-            err = "not an unsigned integer: '" + item + "'";
-            return false;
-        }
-        out.push_back(v);
-    }
-    return true;
+    return parseEach(csv, out, err, kNumber);
 }
 
 bool
 parseDoubleList(const std::string &csv, std::vector<double> &out,
                 std::string &err)
 {
-    for (const std::string &item : splitList(csv)) {
-        double v = 0;
-        if (!parseOneDouble(item, v)) {
-            err = "not a number: '" + item + "'";
-            return false;
-        }
-        out.push_back(v);
-    }
-    return true;
+    return parseEach(csv, out, err, kNumber);
 }
 
 bool
 parseTreatmentList(const std::string &csv,
                    std::vector<Treatment> &out, std::string &err)
 {
-    for (const std::string &item : splitList(csv)) {
-        const Treatment *t = tryParseTreatment(item);
-        if (!t) {
-            err = "unknown treatment '" + item + "'";
-            return false;
-        }
-        out.push_back(*t);
-    }
-    return true;
+    return parseEach(csv, out, err,
+                     [](const std::string &item, Treatment &t,
+                        std::string &e) {
+                         return parseName(item, t, e, allTreatments(),
+                                          treatmentName, "treatment");
+                     });
 }
 
 bool
 parsePlacementList(const std::string &csv,
                    std::vector<PlacementPolicy> &out, std::string &err)
 {
-    for (const std::string &item : splitList(csv)) {
-        const PlacementPolicy *p = tryParsePlacement(item);
-        if (!p) {
-            err = "unknown placement '" + item +
-                  "' (default, pack, arena, isolate)";
-            return false;
-        }
-        out.push_back(*p);
-    }
-    return true;
+    return parseEach(csv, out, err,
+                     [](const std::string &item, PlacementPolicy &p,
+                        std::string &e) {
+                         return parseName(item, p, e, allPlacements(),
+                                          placementName, "placement");
+                     });
 }
 
 bool
@@ -337,19 +333,10 @@ applySpecEntry(SweepSpec &spec, const std::string &key,
         // One workload knob: "param = key=value". The spec parser
         // split the line at its FIRST '=', so the remainder of the
         // assignment arrives intact in @p value here.
-        std::size_t eq = v.find('=');
-        if (eq == std::string::npos) {
-            err = "param wants key=value, got '" + v + "'";
+        std::pair<std::string, std::string> kv;
+        if (!parseParamAssignment(v, kv, err))
             return false;
-        }
-        std::string pk = trim(v.substr(0, eq));
-        std::string pv = trim(v.substr(eq + 1));
-        if (pk.empty()) {
-            err = "param wants key=value, got '" + v + "'";
-            return false;
-        }
-        spec.base.run.params.emplace_back(std::move(pk),
-                                          std::move(pv));
+        spec.base.run.params.push_back(std::move(kv));
         return true;
     }
     if (k == "treatments")
@@ -370,39 +357,24 @@ applySpecEntry(SweepSpec &spec, const std::string &key,
     if (k == "seeds")
         return parseU64List(v, spec.seeds, err);
 
-    // Base-config scalars (single values, not axes).
-    std::uint64_t u = 0;
-    if (k == "threads" || k == "budget" || k == "interval" ||
-        k == "period" || k == "seed" || k == "watchdog" ||
-        k == "monitor") {
-        // "watchdog = -1" must parse; handle the sign here.
-        bool neg = !v.empty() && v[0] == '-';
-        if (!parseOneU64(neg ? v.substr(1) : v, u)) {
-            err = "not an integer: '" + v + "'";
-            return false;
-        }
-        if (neg && k != "watchdog" && k != "monitor") {
-            err = "'" + k + "' cannot be negative";
-            return false;
-        }
-        if (k == "threads")
-            spec.base.run.threads = static_cast<unsigned>(u);
-        else if (k == "budget")
-            spec.base.run.budget = u;
-        else if (k == "interval")
-            spec.base.run.analysisInterval = u;
-        else if (k == "period")
-            spec.base.run.perfPeriod = u;
-        else if (k == "seed")
-            spec.base.run.seed = u;
-        else if (k == "watchdog")
-            spec.base.run.watchdog =
-                neg ? -static_cast<int>(u) : static_cast<int>(u);
-        else
-            spec.base.run.monitor =
-                neg ? -static_cast<int>(u) : static_cast<int>(u);
-        return true;
-    }
+    // Base-config scalars (single values, not axes), each parsed as
+    // its field's own type: "threads = 4294967297" is an error, not 1.
+    ExperimentConfig &run = spec.base.run;
+    auto scalar = [&](auto &field) { return parseNumber(v, field, err); };
+    if (k == "threads")
+        return scalar(run.threads);
+    if (k == "budget")
+        return scalar(run.budget);
+    if (k == "interval")
+        return scalar(run.analysisInterval);
+    if (k == "period")
+        return scalar(run.perfPeriod);
+    if (k == "seed")
+        return scalar(run.seed);
+    if (k == "watchdog")
+        return scalar(run.watchdog);
+    if (k == "monitor")
+        return scalar(run.monitor);
     err = "unknown spec key '" + k + "'";
     return false;
 }

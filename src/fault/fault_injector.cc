@@ -56,6 +56,20 @@ FaultInjector::allPoints()
     return kAllPoints;
 }
 
+std::string
+FaultInjector::unknownPointError(std::string_view point)
+{
+    std::string known;
+    for (const FaultPointInfo &info : kAllPoints) {
+        if (point == info.name)
+            return "";
+        known += known.empty() ? "" : ", ";
+        known += info.name;
+    }
+    return "unknown fault point '" + std::string(point) + "' (one of: " +
+           known + ")";
+}
+
 namespace
 {
 

@@ -180,6 +180,10 @@ class FaultInjector
      */
     static std::span<const FaultPointInfo> allPoints();
 
+    /** Empty when @p point is in allPoints(); otherwise why not,
+     *  listing every valid name (config validation message). */
+    static std::string unknownPointError(std::string_view point);
+
     /** Arm (or re-arm, resetting counters) @p point with @p spec. */
     void arm(std::string_view point, const FaultSpec &spec);
 

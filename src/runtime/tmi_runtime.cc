@@ -707,6 +707,28 @@ TmiRuntime::overheadBytes() const
 }
 
 void
+TmiRuntime::harvest(RunResult &res) const
+{
+    res.repairActive = repairActive();
+    res.repairStartCycles = repairStartCycles();
+    res.t2pCycles = t2pCycles();
+    res.commits = totalCommits();
+    res.conflictBytes = totalConflictBytes();
+    res.pagesProtected = protectedPageCount();
+    res.overheadBytes = overheadBytes();
+    res.fsEventsEstimated = _detector.fsEventsEstimated();
+    res.tsEventsEstimated = _detector.tsEventsEstimated();
+    res.ladderRung = tmiModeName(_rung);
+    res.t2pAborts = t2pAborts();
+    res.unrepairs = unrepairs();
+    res.watchdogFlushes = watchdogFires();
+    res.cowFallbacks = cowFallbacks();
+    res.ladderDrops = ladderDrops();
+    res.ladderRecovers = ladderRecovers();
+    res.invariantViolations = _invariants.violations();
+}
+
+void
 TmiRuntime::regStats(stats::StatGroup &group)
 {
     group.addScalar("t2pConversions", &_statConversions,

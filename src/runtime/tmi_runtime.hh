@@ -39,6 +39,7 @@
 #include "detect/detector.hh"
 #include "ptsb/ptsb.hh"
 #include "runtime/invariants.hh"
+#include "runtime/repair_runtime.hh"
 #include "runtime/robustness.hh"
 
 namespace tmi
@@ -94,7 +95,7 @@ void validateConfig(const TmiConfig &config,
                     const std::string &prefix = "TmiConfig");
 
 /** The Tmi runtime: implements every Machine hook. */
-class TmiRuntime : public RuntimeHooks
+class TmiRuntime : public RepairRuntime
 {
   public:
     TmiRuntime(Machine &machine, const TmiConfig &config = {});
@@ -105,7 +106,7 @@ class TmiRuntime : public RuntimeHooks
      * spawning any application thread. Rejects nonsensical configs
      * with fatal().
      */
-    void attach();
+    void attach() override;
 
     /** @name RuntimeHooks */
     /// @{
@@ -204,7 +205,9 @@ class TmiRuntime : public RuntimeHooks
     /// @}
 
     /** Register stats under @p group. */
-    void regStats(stats::StatGroup &group);
+    void regStats(stats::StatGroup &group) override;
+
+    void harvest(RunResult &res) const override;
 
   private:
     void detectionLoop(ThreadApi &api);

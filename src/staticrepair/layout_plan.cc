@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/parse_number.hh"
+
 namespace tmi::staticrepair
 {
 
@@ -56,26 +58,6 @@ writePlan(const LayoutPlan &plan)
     return out.str();
 }
 
-namespace
-{
-
-bool
-parseU64(const std::string &tok, std::uint64_t &out)
-{
-    if (tok.empty())
-        return false;
-    std::uint64_t v = 0;
-    for (char c : tok) {
-        if (c < '0' || c > '9')
-            return false;
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    out = v;
-    return true;
-}
-
-} // namespace
-
 bool
 parsePlan(const std::string &text, LayoutPlan &out, std::string &err)
 {
@@ -123,7 +105,7 @@ parsePlan(const std::string &text, LayoutPlan &out, std::string &err)
         std::string byteskw, bytestok, kind;
         toks >> site.key >> byteskw >> bytestok >> kind;
         if (site.key.empty() || byteskw != "bytes" ||
-            !parseU64(bytestok, site.bytes) || site.bytes == 0) {
+            !parseNumber(bytestok, site.bytes) || site.bytes == 0) {
             err = "line " + std::to_string(lineno) +
                   ": expected 'site <key> bytes <n> <kind> ...'";
             return false;
@@ -131,7 +113,7 @@ parsePlan(const std::string &text, LayoutPlan &out, std::string &err)
         std::vector<std::uint64_t> nums;
         while (toks >> tok) {
             std::uint64_t v = 0;
-            if (!parseU64(tok, v)) {
+            if (!parseNumber(tok, v)) {
                 err = "line " + std::to_string(lineno) +
                       ": bad number '" + tok + "'";
                 return false;
@@ -173,10 +155,11 @@ parsePlan(const std::string &text, LayoutPlan &out, std::string &err)
             site.arrayBase = nums[0];
             site.arrayStride = nums[1];
             site.arrayCount = nums[2];
+            // base + stride * count <= bytes, without overflowing.
             if (site.arrayStride == 0 || site.arrayCount == 0 ||
-                site.arrayBase +
-                        site.arrayStride * site.arrayCount >
-                    site.bytes) {
+                site.arrayBase > site.bytes ||
+                site.arrayCount >
+                    (site.bytes - site.arrayBase) / site.arrayStride) {
                 err = "line " + std::to_string(lineno) +
                       ": spread geometry exceeds the allocation";
                 return false;

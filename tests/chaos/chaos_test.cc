@@ -15,6 +15,7 @@
 #include <sstream>
 
 #include "chaos/campaign.hh"
+#include "common/mutation_fuzz.hh"
 #include "fault/fault_injector.hh"
 
 using namespace tmi;
@@ -145,6 +146,69 @@ TEST(ScheduleSpec, ArmingKnobsRoundTrip)
     ASSERT_TRUE(parseScheduleSpec(writeScheduleSpec(s), parsed, err))
         << err;
     EXPECT_EQ(parsed, s);
+}
+
+/**
+ * Mutation fuzz of the reproducer-spec decoder: every mutant is
+ * rejected, or decodes to a schedule s with parse(write(s)) == s, so
+ * an accepted file holds nothing the writer would drop or change
+ * (a truncated number, a NaN probability, a burst without a period).
+ */
+TEST(ScheduleSpec, MutationFuzzRoundTripsOrRejects)
+{
+    std::vector<std::string> corpus;
+    ScheduleGenerator gen(5);
+    for (std::uint64_t k = 0; k < 4; ++k) {
+        ChaosSchedule s = gen.generate(k, 1'000'000);
+        s.workload = "histogramfs";
+        corpus.push_back(writeScheduleSpec(s));
+    }
+    corpus.push_back("workload = spinlockpool\ntreatment = htm-elide\n"
+                     "threads = 4\nbuggy_dissolve = 1\nwatchdog = 0\n"
+                     "monitor = 1\nwatchdog_timeout = 100000\n"
+                     "interval = 50000\nrecover_up = 3\n"
+                     "campaign_seed = 9\nindex = 2\n"
+                     "event = htm.spurious_abort p=0.90000000000000002 "
+                     "at=5 every=3 max=7 burst=2/9 window=10:20\n");
+    test::Mutator mutator(std::move(corpus), 0xc4a05eedull,
+                          test::Mutator::kTextOps);
+    unsigned accepted = 0, rejected = 0;
+    for (unsigned i = 0; i < 6000; ++i) {
+        std::string m = mutator.mutate(i);
+        ChaosSchedule s, back;
+        std::string err;
+        if (!parseScheduleSpec(m, s, err)) {
+            ++rejected;
+            continue;
+        }
+        ++accepted;
+        ASSERT_TRUE(parseScheduleSpec(writeScheduleSpec(s), back, err))
+            << "mutant " << i << ": " << err;
+        ASSERT_EQ(back, s) << "mutant " << i << ":\n" << m;
+    }
+    // Both paths must actually be exercised.
+    EXPECT_GT(accepted, 100u);
+    EXPECT_GT(rejected, 1000u);
+}
+
+TEST(ScheduleSpec, RejectsValuesTheWriterWouldNotReproduce)
+{
+    ChaosSchedule s;
+    std::string err;
+    for (const char *bad :
+         {"threads = 4294967297\n", "watchdog = 4294967295\n",
+          "recover_up = -1\n", "seed = 1e3\n",
+          "event = mem.clone_fail p=nan\n",
+          "event = mem.clone_fail burst=5/0\n",
+          "event = mem.clone_fail at=-1\n"}) {
+        EXPECT_FALSE(parseScheduleSpec(
+            std::string("workload = histogramfs\n") + bad, s, err))
+            << bad;
+    }
+    ASSERT_TRUE(parseScheduleSpec(
+        "workload = histogramfs\nwatchdog = -1\n", s, err))
+        << err;
+    EXPECT_EQ(s.watchdog, -1);
 }
 
 TEST(ScheduleSpec, ErrorsNameTheLine)

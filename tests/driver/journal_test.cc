@@ -15,8 +15,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <random>
 
+#include "common/mutation_fuzz.hh"
 #include "driver/journal.hh"
 
 namespace tmi::driver
@@ -239,31 +239,11 @@ TEST_F(JournalTest, MutationFuzzDecodesOrRejects)
                                        encodeRecord(sampleRecord(1)),
                                        encodeRecord(sampleRecord(4)),
                                        encodeRecord(JournalRecord{})};
-    std::mt19937_64 rng(0x7a3c5eedull);
-    auto pick = [&](std::size_t n) {
-        return n ? static_cast<std::size_t>(rng() % n) : 0;
-    };
+    test::Mutator mutator(std::move(corpus), 0x7a3c5eedull,
+                          test::Mutator::kBinaryOps);
     unsigned accepted = 0, rejected = 0;
-    for (int i = 0; i < 6000; ++i) {
-        std::string m = corpus[pick(corpus.size())];
-        switch (i % 4) {
-          case 0: // flip 1-4 bits
-            for (std::size_t n = 1 + pick(4); n > 0; --n)
-                m[pick(m.size())] ^= static_cast<char>(1u << pick(8));
-            break;
-          case 1: // truncate
-            m.resize(pick(m.size()));
-            break;
-          case 2: // overwrite a byte
-            m[pick(m.size())] = static_cast<char>(rng());
-            break;
-          case 3: { // splice two records at random cut points
-            const std::string &other = corpus[pick(corpus.size())];
-            m = m.substr(0, pick(m.size())) +
-                other.substr(pick(other.size()));
-            break;
-          }
-        }
+    for (unsigned i = 0; i < 6000; ++i) {
+        std::string m = mutator.mutate(i);
         JournalRecord out;
         if (decodeRecord(m, out)) {
             ++accepted;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/mutation_fuzz.hh"
 #include "driver/sweep.hh"
 
 namespace tmi::driver
@@ -227,6 +228,89 @@ TEST(SweepSpec, ListParsersRejectGarbage)
 
     EXPECT_EQ(splitList(" a , b ,, c "),
               (std::vector<std::string>{"a", "b", "c"}));
+}
+
+TEST(SweepSpec, ScalarKeysRejectValuesTheirFieldCannotHold)
+{
+    std::string err;
+    for (const char *bad :
+         {"threads = 4294967297\n", "threads = -1\n", "seed = 1x\n",
+          "budget = +5\n", "watchdog = 2147483648\n",
+          "monitor = - 1\n", "scales = 18446744073709551616\n",
+          "fault_rates = nan\n"}) {
+        SweepSpec spec;
+        EXPECT_FALSE(parseSpecText(spec, bad, err)) << bad;
+    }
+    SweepSpec spec;
+    ASSERT_TRUE(parseSpecText(spec,
+                              "threads = 4294967295\nwatchdog = -1\n"
+                              "monitor = 1\n",
+                              err))
+        << err;
+    EXPECT_EQ(spec.base.run.threads, 4294967295u);
+    EXPECT_EQ(spec.base.run.watchdog, -1);
+}
+
+TEST(SweepSpec, UnknownFaultPointFailsValidateWithValidNames)
+{
+    SweepSpec spec;
+    spec.workloads = {"histogramfs"};
+    spec.faultPoints = {"mem.frame_exhuasted"};
+    spec.faultRates = {1.0};
+    std::vector<ConfigError> errors = spec.validate();
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_NE(errors[0].message.find("mem.frame_exhuasted"),
+              std::string::npos);
+    EXPECT_NE(errors[0].message.find("mem.frame_exhausted"),
+              std::string::npos);
+
+    // The same check guards a fault armed on the base config.
+    spec.faultPoints.clear();
+    spec.faultRates.clear();
+    spec.base.run.faults = {{"bogus.point", FaultSpec::always()}};
+    EXPECT_FALSE(spec.validate().empty());
+}
+
+/**
+ * Mutation fuzz of the spec-text decoder, which also decodes every
+ * sweep flag key by key: each mutant is either accepted -- and then
+ * validates without crashing -- or rejected with an error naming its
+ * line. Under asan-ubsan this covers the list, number, family and
+ * param decoders for out-of-bounds reads and overflow.
+ */
+TEST(SweepSpec, MutationFuzzDecodesOrRejects)
+{
+    test::Mutator mutator(
+        {"# two workloads\n"
+         "workloads = histogramfs, spinlockpool\n"
+         "treatments = pthreads,tmi-protect\n"
+         "scales = 2,4\nseeds = 1,2\nthreads = 8\nbudget = 1000000\n"
+         "watchdog = -1\nmonitor = 0\n"
+         "fault_points = mem.frame_exhausted\n"
+         "fault_rates = 0,0.5\n",
+         "workloads = family:server\n"
+         "param = arrival_gap=900\n"
+         "param = profile = bursty\n"
+         "placements = pack,isolate\nperiods = 100,1000\n"
+         "interval = 500000\nperiod = 7\nseed = 3\n"},
+        0x5bec5eedull, test::Mutator::kTextOps);
+    unsigned accepted = 0, rejected = 0;
+    for (unsigned i = 0; i < 6000; ++i) {
+        std::string m = mutator.mutate(i);
+        SweepSpec spec;
+        std::string err;
+        if (parseSpecText(spec, m, err)) {
+            ++accepted;
+            spec.validate();
+        } else {
+            ++rejected;
+            ASSERT_EQ(err.rfind("line ", 0), 0u)
+                << "mutant " << i << ": " << err;
+        }
+    }
+    // Both paths must actually be exercised.
+    EXPECT_GT(accepted, 100u);
+    EXPECT_GT(rejected, 1000u);
 }
 
 } // namespace tmi::driver

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/mutation_fuzz.hh"
 #include "staticrepair/layout_plan.hh"
 
 namespace tmi::staticrepair
@@ -175,6 +176,52 @@ TEST(LayoutPlanLowering, RedirectedSiteCountSkipsPads)
     LayoutPlan plan = samplePlan();
     // Pad installs no segments; split and spread do.
     EXPECT_EQ(redirectedSiteCount(plan), 2u);
+}
+
+/**
+ * Mutation fuzz of the plan decoder: every mutant is rejected, or
+ * decodes to a plan p with parse(write(p)) == p. Numbers that do not
+ * fit 64 bits, and spread geometry whose end overflows, are rejected
+ * instead of wrapping.
+ */
+TEST(LayoutPlanText, MutationFuzzRoundTripsOrRejects)
+{
+    test::Mutator mutator({writePlan(samplePlan()),
+                           "# profile of histogramfs\n"
+                           "tmi-layout-plan v1\n"
+                           "site counts#0 bytes 4096 split 64 128\n"
+                           "site pool bytes 640 spread 0 64 10\n"
+                           "end\n"},
+                          0x91a05eedull, test::Mutator::kTextOps);
+    unsigned accepted = 0, rejected = 0;
+    for (unsigned i = 0; i < 6000; ++i) {
+        std::string m = mutator.mutate(i);
+        LayoutPlan plan, back;
+        std::string err;
+        if (!parsePlan(m, plan, err)) {
+            ++rejected;
+            continue;
+        }
+        ++accepted;
+        ASSERT_TRUE(parsePlan(writePlan(plan), back, err))
+            << "mutant " << i << ": " << err;
+        ASSERT_EQ(back, plan) << "mutant " << i << ":\n" << m;
+    }
+    // Both paths must actually be exercised.
+    EXPECT_GT(accepted, 100u);
+    EXPECT_GT(rejected, 1000u);
+
+    LayoutPlan plan;
+    std::string err;
+    EXPECT_FALSE(parsePlan("tmi-layout-plan v1\n"
+                           "site a bytes 18446744073709551616 pad\n"
+                           "end\n",
+                           plan, err));
+    // 4 * 2^62 wraps to 0 in 64 bits.
+    EXPECT_FALSE(parsePlan("tmi-layout-plan v1\n"
+                           "site a bytes 100 spread 8 "
+                           "4611686018427387904 4\nend\n",
+                           plan, err));
 }
 
 } // namespace tmi::staticrepair
