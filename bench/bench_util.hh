@@ -19,8 +19,10 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/parse_number.hh"
 #include "core/config.hh"
 #include "core/experiment.hh"
 #include "driver/runner.hh"
@@ -29,13 +31,29 @@
 namespace tmi::bench
 {
 
+/** Environment variable @p name as a number, or @p fallback when
+ *  unset. Anything but a whole in-range number exits 2 naming the
+ *  variable, rather than running some other experiment. */
+inline std::uint64_t
+envU64(const char *name, std::uint64_t fallback)
+{
+    const char *env = std::getenv(name);
+    if (!env)
+        return fallback;
+    std::uint64_t value = 0;
+    std::string err;
+    if (!parseNumber(std::string_view(env), value, err)) {
+        std::fprintf(stderr, "%s: %s\n", name, err.c_str());
+        std::exit(2);
+    }
+    return value;
+}
+
 /** Scale factor for bench runs (env TMI_BENCH_SCALE overrides). */
 inline std::uint64_t
 benchScale(std::uint64_t fallback = 4)
 {
-    if (const char *env = std::getenv("TMI_BENCH_SCALE"))
-        return std::strtoull(env, nullptr, 10);
-    return fallback;
+    return envU64("TMI_BENCH_SCALE", fallback);
 }
 
 /** Default experiment config for bench runs. */

@@ -56,14 +56,6 @@ namespace
 
 const char *const kTool = "chaos_campaign";
 
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    if (const char *env = std::getenv(name))
-        return std::strtoull(env, nullptr, 10);
-    return fallback;
-}
-
 /** Run one campaign (in-process or sharded per --journal-dir) and
  *  report its reproducers; returns false on an unclean outcome. */
 bool

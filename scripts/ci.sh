@@ -235,6 +235,14 @@ rc=0
 [ "$rc" -eq 2 ]
 grep -q "run.threads" "$param_err"
 
+# A bench env knob that is not a number exits 2 naming the variable
+# (it used to read as 0: a campaign of zero schedules that passed).
+rc=0
+TMI_CHAOS_SCHEDULES=abc ./build/bench/chaos_campaign \
+    2> "$param_err" || rc=$?
+[ "$rc" -eq 2 ]
+grep -q "TMI_CHAOS_SCHEDULES" "$param_err"
+
 # Static-repair smoke: the fixed-seed profile phase must synthesize
 # exactly the checked-in golden layout plan (profile -> plan is
 # deterministic), and a huron-static sweep -- both the self-profiling

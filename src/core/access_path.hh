@@ -14,10 +14,15 @@
  *    (instructions are immutable once defined, so entries never
  *    expire);
  *  - a per-core direct-mapped (pid, vpage) -> frame-base software
- *    translation cache in front of Mmu::translate. Only pages that
- *    are touched and SharedRW are cacheable: for exactly those,
- *    translate() is pure (no faults, no stats, no RNG draws, no
- *    extra cost), so serving the cached frame is bit-identical.
+ *    translation cache in front of Mmu::translate. A touched page is
+ *    cacheable, for reads and writes, when it is SharedRW or when it
+ *    is PrivateCow and already holds its private frame: for exactly
+ *    those, translate() is pure (no faults, no stats, no RNG draws,
+ *    no extra cost), so serving the cached frame is bit-identical. A
+ *    PrivateCow page without a private frame is not: its next write
+ *    must COW-fault. Every site that retires a private frame (drop,
+ *    and so PTSB commit; unprotect; COW abandonment) or copies one
+ *    (clone) bumps the epoch.
  *    This cache is *host-side only* -- distinct from the timed TLB
  *    model in src/cache/tlb.hh, which stays on the per-access path
  *    because its hit/miss stream is part of the simulated contract;

@@ -260,6 +260,12 @@ validateConfig(const ExperimentConfig &config,
         errors.push_back({prefix + ".scale",
                           "must be >= 1: a zero input size runs "
                           "nothing"});
+    } else if (config.scale > maxScale) {
+        errors.push_back({prefix + ".scale",
+                          "must be <= " + std::to_string(maxScale) +
+                              ": scale multiplies the input size, "
+                              "and a runaway value runs until "
+                              "killed"});
     }
     if (config.pageShift < smallPageShift ||
         config.pageShift > hugePageShift) {

@@ -156,6 +156,14 @@ struct ExperimentConfig
     bool operator==(const ExperimentConfig &) const = default;
 };
 
+/**
+ * Largest run.scale validateConfig accepts. Scale multiplies every
+ * workload's input size; no spec, recipe, test or bench default goes
+ * above 8, and an unbounded value (a typo, or 2^64-1) would run until
+ * killed instead of failing as a config error.
+ */
+inline constexpr std::uint64_t maxScale = 1024;
+
 /** Collect ExperimentConfig constraint violations under @p prefix. */
 void validateConfig(const ExperimentConfig &config,
                     std::vector<ConfigError> &errors,

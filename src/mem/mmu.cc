@@ -191,10 +191,14 @@ Mmu::translate(ProcessId pid, Addr vaddr, bool is_write)
         }
     }
     Addr off = vaddr & (pageBytes() - 1);
-    // The page is touched by now; SharedRW means no future access can
-    // fault or diverge, so the translation is safe to cache until the
-    // next epoch bump.
-    res.cacheable = entry.kind == MapKind::SharedRW;
+    // The page is touched by now. A SharedRW page, or a PrivateCow
+    // page that holds its private frame, cannot fault or diverge on
+    // any later read or write, so the translation is safe to cache
+    // until the next epoch bump: every site that retires a private
+    // frame (drop, unprotect, abandon) or copies one (clone) bumps it.
+    res.cacheable = entry.kind == MapKind::SharedRW ||
+                    (entry.kind == MapKind::PrivateCow &&
+                     entry.privateFrame != invalidPPage);
     res.paddr = (entry.activeFrame() << pageShift()) | off;
     return res;
 }

@@ -38,9 +38,11 @@ struct TranslateResult
     bool cowFault = false;   //!< write hit a PrivateCow page
     bool cowAborted = false; //!< COW failed; page reverted to SharedRW
     Cycles extraCost = 0;    //!< cost reported by the COW callback
-    /** True when the page ended this translation touched and
-     *  SharedRW: for such pages translate() is pure (no faults, no
-     *  stats, no RNG), so the AccessPipeline may cache the frame. */
+    /** True when the page ended this translation touched and either
+     *  SharedRW or PrivateCow with a live private frame: for such
+     *  pages translate() is pure for reads and writes (no faults, no
+     *  stats, no RNG), so the AccessPipeline may cache the frame
+     *  until the next epoch bump. */
     bool cacheable = false;
 };
 
@@ -151,9 +153,10 @@ class Mmu
 
     /**
      * Wire the access-path invalidation epoch (null disables). Every
-     * mapping mutation -- protect/unprotect, COW service or abort,
-     * private-frame drop, clone, mapShared -- bumps it so cached
-     * translations die before they can go stale.
+     * mapping mutation -- protect/unprotect, COW abort, private-frame
+     * drop, clone, mapShared -- bumps it so cached translations die
+     * before they can go stale. A serviced COW fault needs no bump:
+     * the frameless page it diverges was never cacheable.
      */
     void setEpoch(InvalidationEpoch *epoch) { _epoch = epoch; }
 

@@ -30,7 +30,7 @@ PhysicalMemory::materialize(Frame &f)
 {
     TMI_ASSERT(f.live);
     if (!f.data) {
-        f.data = std::make_unique<std::uint8_t[]>(pageBytes());
+        f.data = std::make_unique_for_overwrite<std::uint8_t[]>(pageBytes());
         std::memset(f.data.get(), 0, pageBytes());
     }
     return f.data.get();
@@ -57,7 +57,7 @@ PhysicalMemory::allocCopy(PPage src)
     TMI_ASSERT(sf.live);
     if (sf.data) {
         Frame &df = frameRef(dst);
-        materialize(df);
+        df.data = std::make_unique_for_overwrite<std::uint8_t[]>(pageBytes());
         std::memcpy(df.data.get(), sf.data.get(), pageBytes());
     }
     return dst;

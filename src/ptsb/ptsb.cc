@@ -88,12 +88,12 @@ Ptsb::onCowFault(VPage vpage, PPage shared_frame, PPage private_frame)
     // same snapshot the private frame starts from, so diff(private,
     // twin) is exactly the bytes this process wrote since.
     const Addr page_bytes = _mmu.pageBytes();
-    twin.snapshot.resize(page_bytes);
+    twin.snapshot = std::make_unique_for_overwrite<std::uint8_t[]>(page_bytes);
     const std::uint8_t *shared = _mmu.phys().framePtrIfTouched(shared_frame);
     if (shared)
-        std::memcpy(twin.snapshot.data(), shared, page_bytes);
+        std::memcpy(twin.snapshot.get(), shared, page_bytes);
     else
-        std::memset(twin.snapshot.data(), 0, page_bytes);
+        std::memset(twin.snapshot.get(), 0, page_bytes);
 
     _twins.emplace(vpage, std::move(twin));
     ++_statTwinsCreated;
@@ -102,6 +102,75 @@ Ptsb::onCowFault(VPage vpage, PPage shared_frame, PPage private_frame)
     if (chunks == 0)
         chunks = 1;
     return {_costs.twinCopyPer4k * chunks, true};
+}
+
+namespace
+{
+
+std::uint64_t
+loadWord(const std::uint8_t *p)
+{
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof w);
+    return w;
+}
+
+} // namespace
+
+void
+Ptsb::mergePage(const std::uint8_t *priv, const std::uint8_t *snap,
+                std::uint8_t *shared, Addr page_bytes, PPage shared_frame,
+                const PtsbCosts &costs, CommitResult &res,
+                std::vector<Addr> &merged_lines)
+{
+    const bool huge = page_bytes > smallPageBytes;
+    const std::size_t chunk = smallPageBytes;
+    constexpr std::size_t word = sizeof(std::uint64_t);
+    static_assert(smallPageBytes % lineBytes == 0 && lineBytes % word == 0);
+
+    Addr changed_line = ~Addr{0};
+    for (std::size_t base = 0; base < page_bytes; base += chunk) {
+        if (huge) {
+            // Huge-page optimization: compare 4 KB regions with
+            // memcmp before descending to bytes (section 4.4).
+            res.cost += costs.memcmpPer4k;
+            if (std::memcmp(priv + base, snap + base, chunk) == 0)
+                continue;
+        }
+        res.cost += costs.diffPer4k;
+        // Skip clean lines, then compare a word at a time; only a
+        // word that differs is walked byte by byte, so the merge
+        // visits exactly the bytes (and in the order) a
+        // byte-at-a-time diff would.
+        for (std::size_t l = base; l < base + chunk; l += lineBytes) {
+            if (std::memcmp(priv + l, snap + l, lineBytes) == 0)
+                continue;
+            for (std::size_t w = l; w < l + lineBytes; w += word) {
+                if (loadWord(priv + w) == loadWord(snap + w))
+                    continue;
+                for (std::size_t off = w; off < w + word; ++off) {
+                    if (priv[off] == snap[off])
+                        continue;
+                    // Merge must change only the bytes identified by
+                    // the diff; touching identical bytes would
+                    // fabricate stores the program never performed
+                    // (section 2.2).
+                    if (shared[off] != snap[off])
+                        ++res.conflictBytes; // racy concurrent merge
+                    shared[off] = priv[off];
+                    ++res.bytesChanged;
+                    Addr line =
+                        (shared_frame * page_bytes + off) >> lineShift;
+                    if (line != changed_line) {
+                        changed_line = line;
+                        ++res.linesMerged;
+                        res.cost += costs.mergePerLine;
+                        merged_lines.push_back(line << lineShift);
+                    }
+                }
+            }
+        }
+    }
 }
 
 CommitResult
@@ -114,48 +183,18 @@ Ptsb::commit()
     res.cost = _costs.commitBase;
 
     const Addr page_bytes = _mmu.pageBytes();
-    const bool huge = page_bytes > smallPageBytes;
-    const std::size_t chunk = smallPageBytes;
-
     for (auto &[vpage, twin] : _twins) {
         ++res.pagesDiffed;
         ++_statPagesDiffed;
 
         std::uint8_t *priv = _mmu.phys().framePtr(twin.privateFrame);
         std::uint8_t *shared = _mmu.phys().framePtr(twin.sharedFrame);
-        const std::uint8_t *snap = twin.snapshot.data();
-
-        Addr changed_line = ~Addr{0};
-        for (std::size_t base = 0; base < page_bytes; base += chunk) {
-            if (huge) {
-                // Huge-page optimization: compare 4 KB regions with
-                // memcmp before descending to bytes (section 4.4).
-                res.cost += _costs.memcmpPer4k;
-                if (std::memcmp(priv + base, snap + base, chunk) == 0)
-                    continue;
-            }
-            res.cost += _costs.diffPer4k;
-            for (std::size_t i = 0; i < chunk; ++i) {
-                std::size_t off = base + i;
-                if (priv[off] == snap[off])
-                    continue;
-                // Merge must change only the bytes identified by the
-                // diff; touching identical bytes would fabricate
-                // stores the program never performed (section 2.2).
-                if (shared[off] != snap[off])
-                    ++res.conflictBytes; // racy concurrent merge
-                shared[off] = priv[off];
-                ++res.bytesChanged;
-                Addr line = (twin.sharedFrame * page_bytes + off) >>
-                            lineShift;
-                if (line != changed_line) {
-                    changed_line = line;
-                    ++res.linesMerged;
-                    res.cost += _costs.mergePerLine;
-                    if (_cache)
-                        _cache->invalidateLine(line << lineShift);
-                }
-            }
+        _mergedLines.clear();
+        mergePage(priv, twin.snapshot.get(), shared, page_bytes,
+                  twin.sharedFrame, _costs, res, _mergedLines);
+        if (_cache) {
+            for (Addr line : _mergedLines)
+                _cache->invalidateLine(line);
         }
 
         // Step 5 of Figure 2: drop the mutable copy and twin so the

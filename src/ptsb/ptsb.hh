@@ -20,6 +20,7 @@
 #ifndef TMI_PTSB_PTSB_HH
 #define TMI_PTSB_PTSB_HH
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -126,10 +127,31 @@ class Ptsb
      * Diff every dirty page against its twin, merge changed bytes
      * into shared memory, drop private frames, and re-arm.
      *
-     * Huge pages are pre-filtered 4 KB at a time with memcmp before
-     * byte-level diffing (paper section 4.4).
+     * The diff skips clean 64-byte lines, compares 8 bytes at a time
+     * inside a dirty line, and walks bytes only inside a word that
+     * differs (see mergePage). Huge pages are pre-filtered 4 KB at a
+     * time with memcmp first (paper section 4.4).
      */
     CommitResult commit();
+
+    /**
+     * Commit's per-page diff and merge: copy each byte where @p priv
+     * differs from the twin @p snap into @p shared, in address order,
+     * and add the charges and counts to @p res. Merges and charges
+     * are exactly those of a byte-at-a-time diff: per 4 KB chunk
+     * scanned (diffPer4k; huge pages also memcmpPer4k per chunk) and
+     * per merged line (mergePerLine), never per word or line compared.
+     * Appends the physical address of each newly merged line to
+     * @p merged_lines, in merge order; commit() invalidates those.
+     *
+     * @param shared_frame the shared page's frame number, which
+     *                     places the merged lines physically.
+     */
+    static void mergePage(const std::uint8_t *priv,
+                          const std::uint8_t *snap, std::uint8_t *shared,
+                          Addr page_bytes, PPage shared_frame,
+                          const PtsbCosts &costs, CommitResult &res,
+                          std::vector<Addr> &merged_lines);
 
     /** Number of pages currently protected. */
     std::size_t protectedPages() const { return _protected.size(); }
@@ -158,7 +180,7 @@ class Ptsb
   private:
     struct Twin
     {
-        std::vector<std::uint8_t> snapshot;
+        std::unique_ptr<std::uint8_t[]> snapshot; //!< one page
         PPage sharedFrame = invalidPPage;
         PPage privateFrame = invalidPPage;
     };
@@ -171,6 +193,7 @@ class Ptsb
 
     std::unordered_map<VPage, bool> _protected;
     std::unordered_map<VPage, Twin> _twins;
+    std::vector<Addr> _mergedLines; //!< reused by commit() per page
 
     stats::Scalar _statCommits;
     stats::Scalar _statPagesDiffed;

@@ -61,6 +61,13 @@ expect 2 "--fault: bad fault SPEC 'p=abc'" \
 expect 2 "--fault: bad fault SPEC 'once=-1'" \
     "$cli" --fault mem.clone_fail:once=-1
 
+# Out-of-range config values are config errors naming the field.
+expect 2 "run.scale: must be <= 1024" \
+    "$cli" --workload histogramfs --scale 18446744073709551615
+expect 2 "run.scale: must be <= 1024" \
+    "$sweep" --workloads histogramfs --treatments pthreads --scales 1025 \
+    --dry-run
+
 # Unknown names, listing the valid ones.
 expect 2 "unknown fault point 'mem.frame_exhuasted'.*mem.frame_exhausted" \
     "$cli" --fault mem.frame_exhuasted:always

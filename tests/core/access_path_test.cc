@@ -1,11 +1,13 @@
 /**
  * @file
  * Unit tests for the AccessPipeline invalidation-epoch contract:
- * every mapping mutation site (protect, un-protect, COW service,
+ * every mapping mutation site (protect, un-protect, COW abandonment,
  * clone, mapShared, private-frame drop, PTSB commit) and hook-state
  * change (hook install, TLB flush; the ladder rungs are exercised by
  * the robustness suite) must bump the global epoch, and an entry
- * installed under an older epoch must never be served.
+ * installed under an older epoch must never be served. A serviced
+ * COW fault needs no bump: the page was not cacheable before it, and
+ * its private frame is cacheable until a site above retires it.
  */
 
 #include <gtest/gtest.h>
@@ -44,6 +46,23 @@ struct EpochFixture : public ::testing::Test
         pipe.frameInsert(0, pid, vp(),
                          tr.paddr & ~Addr{smallPageBytes - 1});
     }
+
+    /** Protect the page, take its COW fault and cache the private
+     *  frame's translation; returns that frame's base address. */
+    Addr
+    cachePrivateTranslation()
+    {
+        if (!mmu.isProtected(pid, vp()))
+            mmu.protectPrivateCow(pid, vp());
+        TranslateResult tr = mmu.translate(pid, vbase, true);
+        EXPECT_TRUE(tr.cacheable);
+        EXPECT_NE(tr.paddr, sharedBase());
+        pipe.frameInsert(0, pid, vp(), tr.paddr);
+        EXPECT_TRUE(cachedHit());
+        return tr.paddr;
+    }
+
+    Addr sharedBase() const { return region.frameFor(0) << smallPageShift; }
 
     bool
     cachedHit()
@@ -104,14 +123,79 @@ TEST_F(EpochFixture, ProtectBumpsAndKillsEntry)
     EXPECT_FALSE(tr.cacheable);
 }
 
-TEST_F(EpochFixture, CowServiceIsNeverCacheable)
+TEST_F(EpochFixture, CowServiceIsCacheable)
 {
     mmu.protectPrivateCow(pid, vp());
     TranslateResult tr = mmu.translate(pid, vbase, true);
-    EXPECT_TRUE(tr.cowFault);
-    // The freshly twinned private frame must not enter the cache:
-    // its mapping can revert (drop/abandon) without a trace.
+    ASSERT_TRUE(tr.cowFault);
+    // The page now holds its private frame: later reads and writes
+    // translate to it with no fault, stat or cost, so it may enter
+    // the cache like a SharedRW page.
+    EXPECT_TRUE(tr.cacheable);
+    std::uint64_t e0 = epoch();
+    std::uint64_t cows = mmu.cowFaults();
+    for (bool is_write : {false, true}) {
+        TranslateResult again = mmu.translate(pid, vbase + 8, is_write);
+        EXPECT_TRUE(again.cacheable);
+        EXPECT_FALSE(again.cowFault);
+        EXPECT_FALSE(again.softFault);
+        EXPECT_EQ(again.extraCost, 0u);
+        EXPECT_EQ(again.paddr, tr.paddr + 8);
+    }
+    EXPECT_EQ(mmu.cowFaults(), cows);
+    EXPECT_EQ(epoch(), e0);
+}
+
+TEST_F(EpochFixture, PrivateFrameEntryDiesAtDrop)
+{
+    cachePrivateTranslation();
+    mmu.dropPrivateFrame(pid, vp());
+    EXPECT_FALSE(cachedHit());
+    // Frameless again: a read maps the shared frame, but the next
+    // write must fault, so nothing is cacheable until it does.
+    TranslateResult tr = mmu.translate(pid, vbase, false);
     EXPECT_FALSE(tr.cacheable);
+    EXPECT_EQ(tr.paddr, sharedBase());
+}
+
+TEST_F(EpochFixture, PrivateFrameEntryDiesAtUnprotect)
+{
+    cachePrivateTranslation();
+    mmu.unprotect(pid, vp());
+    EXPECT_FALSE(cachedHit());
+    TranslateResult tr = mmu.translate(pid, vbase, true);
+    EXPECT_TRUE(tr.cacheable);
+    EXPECT_EQ(tr.paddr, sharedBase());
+}
+
+TEST_F(EpochFixture, PrivateFrameEntryDiesAtAbandon)
+{
+    cachePrivateTranslation();
+    // A COW fault on the next page that its handler refuses reverts
+    // that page to SharedRW; the abandonment bumps the epoch.
+    mmu.setCowCallback([](ProcessId, VPage, PPage, PPage) {
+        return CowOutcome{0, false};
+    });
+    mmu.protectPrivateCow(pid, vp() + 1);
+    cachePrivateTranslation(); // re-cache after the protect's bump
+    TranslateResult tr =
+        mmu.translate(pid, vbase + smallPageBytes, true);
+    ASSERT_TRUE(tr.cowAborted);
+    EXPECT_FALSE(cachedHit());
+}
+
+TEST_F(EpochFixture, PrivateFrameEntryDiesAtClone)
+{
+    Addr priv = cachePrivateTranslation();
+    ProcessId child = mmu.cloneAddressSpace(pid);
+    EXPECT_FALSE(cachedHit());
+    // The child got its own copy; the parent keeps its frame.
+    TranslateResult mine = mmu.translate(pid, vbase, true);
+    TranslateResult theirs = mmu.translate(child, vbase, true);
+    EXPECT_EQ(mine.paddr, priv);
+    EXPECT_NE(theirs.paddr, priv);
+    EXPECT_NE(theirs.paddr, sharedBase());
+    EXPECT_TRUE(theirs.cacheable);
 }
 
 TEST_F(EpochFixture, UnprotectBumps)

@@ -91,6 +91,22 @@ TEST(ConfigValidate, ThreadsAndCoresCappedAt32)
     EXPECT_TRUE(hasField(cfg.validate(), "machine.cores"));
 }
 
+TEST(ConfigValidate, ScaleBoundedBothWays)
+{
+    // Zero runs nothing; anything past maxScale would run until
+    // killed. Both are config errors naming run.scale.
+    Config cfg;
+    cfg.run.workload = "histogramfs";
+    cfg.run.scale = maxScale;
+    EXPECT_TRUE(cfg.validate().empty());
+
+    for (std::uint64_t scale :
+         {std::uint64_t{0}, maxScale + 1, ~std::uint64_t{0}}) {
+        cfg.run.scale = scale;
+        EXPECT_TRUE(hasField(cfg.validate(), "run.scale")) << scale;
+    }
+}
+
 TEST(ConfigValidate, CacheGeometryNeedsPowerOfTwoSetsAndWays)
 {
     Config cfg;

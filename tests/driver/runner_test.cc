@@ -104,11 +104,12 @@ TEST(Runner, InvalidSpecReportsEveryJobFailed)
 
 TEST(Runner, HostTimeoutKillsRunawayJob)
 {
-    // An effectively-unbounded simulation (huge scale and budget)
-    // against a tiny host timeout: the watchdog must cancel it
-    // through the scheduler's abort flag, and it is not retried.
+    // An effectively-unbounded simulation (the largest valid scale,
+    // a huge budget) against a tiny host timeout: the watchdog must
+    // cancel it through the scheduler's abort flag, and it is not
+    // retried.
     SweepSpec spec = smallSpec();
-    spec.base.run.scale = 5'000;
+    spec.base.run.scale = maxScale;
     RunnerOptions opts;
     opts.workers = 1;
     opts.jobTimeout = std::chrono::milliseconds(50);
