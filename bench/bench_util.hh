@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -176,6 +177,22 @@ struct TreatmentRow
     std::vector<RunResult> treated; //!< parallel to the request
 };
 
+/** envU64 for a count held in `unsigned`: below @p min or above
+ *  UINT_MAX exits 2 naming @p name (a cast would silently truncate
+ *  4294967297 to 1). */
+inline unsigned
+envUnsigned(const char *name, unsigned fallback, unsigned min)
+{
+    std::uint64_t value = envU64(name, fallback);
+    if (value < min || value > std::numeric_limits<unsigned>::max()) {
+        std::fprintf(stderr, "%s: '%llu' is not an integer in [%u, %u]\n",
+                     name, static_cast<unsigned long long>(value), min,
+                     std::numeric_limits<unsigned>::max());
+        std::exit(2);
+    }
+    return static_cast<unsigned>(value);
+}
+
 /** Sweep workers for bench runs (env TMI_BENCH_WORKERS overrides).
  *  Defaults to 1: serial, and therefore bit-for-bit the historical
  *  bench output order. The sweep driver delivers results in job-id
@@ -183,12 +200,7 @@ struct TreatmentRow
 inline unsigned
 benchWorkers()
 {
-    if (const char *env = std::getenv("TMI_BENCH_WORKERS")) {
-        long v = std::strtol(env, nullptr, 10);
-        if (v >= 1)
-            return static_cast<unsigned>(v);
-    }
-    return 1;
+    return envUnsigned("TMI_BENCH_WORKERS", 1, 1);
 }
 
 /**

@@ -63,12 +63,8 @@ runOne(const char *label, const chaos::CampaignSpec &spec,
        const driver::CliOptions &io, const std::string &repro_dir)
 {
     std::ofstream csv_file;
-    if (!io.csvPath.empty()) {
-        csv_file.open(io.csvPath);
-        if (!csv_file)
-            driver::usageError(kTool,
-                               "cannot write '" + io.csvPath + "'");
-    }
+    if (!io.csvPath.empty())
+        csv_file = driver::writeFileOrExit(kTool, io.csvPath);
     std::ostream &os = io.csvPath.empty()
                            ? static_cast<std::ostream &>(std::cout)
                            : csv_file;
@@ -76,18 +72,8 @@ runOne(const char *label, const chaos::CampaignSpec &spec,
     chaos::CampaignOutcome outcome;
     std::string tag = std::string("chaos:") + label;
     driver::runCampaignFlags(
-        kTool, tag.c_str(), io,
-        [&](driver::Runner &runner) {
-            outcome = chaos::runCampaign(spec, runner, &os);
-            return runner.stats();
-        },
-        [&](const driver::ShardOptions &shard) {
-            chaos::ShardedCampaignOptions sharded;
-            sharded.shard = shard;
-            driver::ShardRunStats stats;
-            outcome =
-                chaos::runCampaignSharded(spec, sharded, &os, &stats);
-            return stats;
+        kTool, tag.c_str(), io, [&](driver::Executor &executor) {
+            outcome = chaos::runCampaign(spec, executor, &os);
         });
 
     for (const auto &repro : outcome.reproducers) {
@@ -132,8 +118,7 @@ main(int argc, char **argv)
     driver::finishCampaignFlags(kTool, io);
     io.runner.workers = benchWorkers();
     io.runner.progress = false;
-    io.shard.shards =
-        static_cast<unsigned>(envU64("TMI_CHAOS_SHARDS", 2));
+    io.shard.shards = envUnsigned("TMI_CHAOS_SHARDS", 2, 0);
 
     chaos::CampaignSpec batch;
     batch.base.run = benchConfig("histogramfs", Treatment::TmiProtect,

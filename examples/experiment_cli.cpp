@@ -44,16 +44,6 @@ namespace
 
 const char *const kTool = "experiment_cli";
 
-/** Open @p path for writing or exit 2. */
-std::ofstream
-openOut(const std::string &path)
-{
-    std::ofstream os(path);
-    if (!os)
-        driver::usageError(kTool, "cannot write '" + path + "'");
-    return os;
-}
-
 } // namespace
 
 int
@@ -177,14 +167,14 @@ main(int argc, char **argv)
         meta.cyclesPerSecond = cps;
         meta.processName = std::string(res.workload) + " / " +
                            treatmentName(res.treatment);
-        std::ofstream os = openOut(trace_out);
+        std::ofstream os = driver::writeFileOrExit(kTool, trace_out);
         obs::writeChromeTrace(os, res.traceEvents, meta);
         std::printf("trace-out     : %s (%zu events; open in "
                     "ui.perfetto.dev)\n",
                     trace_out.c_str(), res.traceEvents.size());
     }
     if (!trace_csv.empty()) {
-        std::ofstream os = openOut(trace_csv);
+        std::ofstream os = driver::writeFileOrExit(kTool, trace_csv);
         obs::writeCsvTimeSeries(os, res.traceEvents, cps,
                                 cfg.run.analysisInterval);
         std::printf("trace-csv     : %s (%llu-cycle windows)\n",
@@ -193,7 +183,7 @@ main(int argc, char **argv)
                         cfg.run.analysisInterval));
     }
     if (!csv_out.empty()) {
-        std::ofstream os = openOut(csv_out);
+        std::ofstream os = driver::writeFileOrExit(kTool, csv_out);
         os << robustnessCsvHeader() << "\n"
            << robustnessCsvRow(res, "cli", 1.0) << "\n";
         std::printf("csv-out       : %s\n", csv_out.c_str());
@@ -206,7 +196,7 @@ main(int argc, char **argv)
                                    treatmentName(res.treatment) +
                                    "' does not synthesize one)");
         }
-        std::ofstream os = openOut(plan_out);
+        std::ofstream os = driver::writeFileOrExit(kTool, plan_out);
         os << res.planText;
         std::printf("plan-out      : %s (%llu site(s))\n",
                     plan_out.c_str(),

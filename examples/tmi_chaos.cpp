@@ -131,28 +131,14 @@ cmdCampaign(int argc, char **argv)
     driver::exitOnConfigErrors(kTool, spec.validate());
 
     std::ofstream csv_file;
-    if (!opts.csvPath.empty()) {
-        csv_file.open(opts.csvPath);
-        if (!csv_file)
-            driver::usageError(kTool,
-                               "cannot write '" + opts.csvPath + "'");
-    }
+    if (!opts.csvPath.empty())
+        csv_file = driver::writeFileOrExit(kTool, opts.csvPath);
     std::ostream &os = opts.csvPath.empty() ? std::cout : csv_file;
 
     chaos::CampaignOutcome outcome;
     driver::runCampaignFlags(
-        kTool, "chaos", opts,
-        [&](driver::Runner &runner) {
-            outcome = chaos::runCampaign(spec, runner, &os);
-            return runner.stats();
-        },
-        [&](const driver::ShardOptions &shard) {
-            chaos::ShardedCampaignOptions sharded;
-            sharded.shard = shard;
-            driver::ShardRunStats stats;
-            outcome =
-                chaos::runCampaignSharded(spec, sharded, &os, &stats);
-            return stats;
+        kTool, "chaos", opts, [&](driver::Executor &executor) {
+            outcome = chaos::runCampaign(spec, executor, &os);
         });
 
     for (const auto &repro : outcome.reproducers) {
@@ -293,10 +279,7 @@ cmdMinimize(int argc, char **argv)
     if (out_path.empty()) {
         std::fputs(text.c_str(), stdout);
     } else {
-        std::ofstream os(out_path);
-        if (!os)
-            driver::usageError(kTool, "cannot write '" + out_path + "'");
-        os << text;
+        driver::writeFileOrExit(kTool, out_path) << text;
     }
     return 0;
 }

@@ -103,14 +103,8 @@ main(int argc, char **argv)
     }
 
     driver::ShardRunStats run = driver::runCampaignFlags(
-        kTool, "sweep", opts,
-        [&](driver::Runner &runner) {
-            runner.run(spec, sink.get());
-            return runner.stats();
-        },
-        [&](const driver::ShardOptions &shard) {
-            return driver::ShardSupervisor(shard).run(spec.expand(),
-                                                      sink.get());
+        kTool, "sweep", opts, [&](driver::Executor &executor) {
+            executor.run("", spec.expand(), sink.get());
         });
     sink->sync();
 

@@ -242,6 +242,32 @@ TMI_CHAOS_SCHEDULES=abc ./build/bench/chaos_campaign \
     2> "$param_err" || rc=$?
 [ "$rc" -eq 2 ]
 grep -q "TMI_CHAOS_SCHEDULES" "$param_err"
+rc=0
+TMI_BENCH_WORKERS=abc ./build/bench/chaos_campaign \
+    2> "$param_err" || rc=$?
+[ "$rc" -eq 2 ]
+grep -q "TMI_BENCH_WORKERS" "$param_err"
+
+# The acceptance chaos bench through both executors: a tiny batch and
+# server campaign in process, then on the shard supervisor, must write
+# the same CSV bytes; a resume over the complete journals reruns
+# nothing and writes them again.
+echo "=== chaos_campaign bench: in-process vs sharded vs resumed ==="
+bench_csv="$work/bench_chaos.csv"
+bench_err="$work/bench_chaos_err.txt"
+bench_env=(TMI_CHAOS_SCHEDULES=1 TMI_CHAOS_SERVER_SCHEDULES=1
+    TMI_BENCH_SCALE=1)
+env "${bench_env[@]}" ./build/bench/chaos_campaign --csv "$bench_csv"
+for mode in sharded resumed; do
+    flags=(--journal-dir "$work/bench_journals")
+    [ "$mode" = resumed ] && flags+=(--resume)
+    env "${bench_env[@]}" ./build/bench/chaos_campaign \
+        --csv "$bench_csv.$mode" "${flags[@]}" 2> "$bench_err"
+    cmp "$bench_csv" "$bench_csv.$mode"
+    cmp "$bench_csv.server" "$bench_csv.$mode.server"
+done
+grep -q "^\[chaos:batch\] .* 24 job(s) resumed" "$bench_err"
+grep -q "^\[chaos:server\] .* 8 job(s) resumed" "$bench_err"
 
 # Static-repair smoke: the fixed-seed profile phase must synthesize
 # exactly the checked-in golden layout plan (profile -> plan is

@@ -1,6 +1,5 @@
 #include "campaign.hh"
 
-#include <algorithm>
 #include <ostream>
 
 #include "common/fnv.hh"
@@ -204,7 +203,7 @@ chaosCsvRow(const CampaignRow &row)
 }
 
 CampaignOutcome
-runCampaign(const CampaignSpec &spec, driver::Runner &runner,
+runCampaign(const CampaignSpec &spec, driver::Executor &executor,
             std::ostream *csv)
 {
     CampaignOutcome out;
@@ -225,7 +224,7 @@ runCampaign(const CampaignSpec &spec, driver::Runner &runner,
 
     // Phase 1: golden fault-free runs, one job per cell. Delivered
     // in job-id (== cell) order, so the golden rows stream first and
-    // in a stable order for any worker count.
+    // in a stable order for any worker or shard count.
     std::vector<driver::Job> golden_jobs;
     for (const Cell &cell : cells)
         golden_jobs.push_back({0, cell.config, "", 0.0});
@@ -252,212 +251,24 @@ runCampaign(const CampaignSpec &spec, driver::Runner &runner,
         }
         if (csv)
             *csv << chaosCsvRow(row) << "\n";
-        out.rows.push_back(std::move(row));
     });
-    runner.run(std::move(golden_jobs), &golden_sink);
+    executor.run("goldens", std::move(golden_jobs), &golden_sink);
 
-    // Phase 2: the chaos matrix. Schedule (cell c, draw k) is drawn
-    // from the campaign seed at global index c * schedules + k with
-    // the cell's fault-free makespan as the window horizon -- all
-    // pure functions of the spec, so the job list (and the CSV) is
-    // reproducible no matter how the runner interleaves execution.
-    ScheduleGenerator gen(spec.campaignSeed, spec.generator);
-    std::vector<driver::Job> chaos_jobs;
-    std::vector<ChaosSchedule> schedules;
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-        Cycles horizon =
-            cells[c].goldenOk ? cells[c].golden.cycles : 0;
-        for (std::uint64_t k = 0; k < spec.schedules; ++k) {
-            ChaosSchedule sched =
-                gen.generate(c * spec.schedules + k, horizon);
-            fillCell(sched, cells[c].config);
-            // fillCell resets provenance inputs to the cell's; keep
-            // the draw identity.
-            sched.campaignSeed = spec.campaignSeed;
-            chaos_jobs.push_back(
-                {0, sched.toConfig(spec.base), "chaos", 0.0});
-            schedules.push_back(std::move(sched));
-        }
-    }
-
-    driver::FunctionSink chaos_sink([&](const driver::JobResult &jr) {
-        const Cell &cell = cells[jr.job.id / spec.schedules];
-        CampaignRow row;
-        row.id = next_id++;
-        row.schedule = schedules[jr.job.id];
-        row.status = jr.status;
-        row.run = jr.run;
-        row.goldenDigest =
-            cell.goldenOk ? cell.golden.resultDigest : 0;
-        row.judgement = judgeJob(jr, cell.golden);
-        if (jr.status == driver::JobStatus::Ok && cell.goldenOk &&
-            cell.golden.cycles != 0) {
-            row.slowdown = static_cast<double>(jr.run.cycles) /
-                           static_cast<double>(cell.golden.cycles);
-        }
-        if (jr.status != driver::JobStatus::Ok)
-            ++out.jobFailures;
-        ++out.judged;
-        if (row.judgement.pass())
-            ++out.passed;
-        else if (row.judgement.fail())
-            ++out.failed;
-        else
-            ++out.skipped;
-        if (csv)
-            *csv << chaosCsvRow(row) << "\n";
-        out.rows.push_back(std::move(row));
-    });
-    runner.run(std::move(chaos_jobs), &chaos_sink);
-
-    // Phase 3: shrink the first few failures to 1-minimal
-    // reproducers. Probes replay synchronously (deterministically)
-    // in this thread; the CSV is already complete.
-    if (!spec.minimizeFailures)
-        return out;
-    unsigned minimized = 0;
-    for (const CampaignRow &row : out.rows) {
-        if (minimized >= spec.minimizeLimit)
-            break;
-        if (row.golden || !row.judgement.fail() ||
-            row.status != driver::JobStatus::Ok) {
-            continue;
-        }
-        std::size_t cell_index = 0;
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            if (cells[c].config.run.workload ==
-                    row.schedule.workload &&
-                cells[c].config.run.treatment ==
-                    row.schedule.treatment) {
-                cell_index = c;
-                break;
-            }
-        }
-        const Cell &cell = cells[cell_index];
-        auto still_fails = [&](const ChaosSchedule &s) {
-            RunResult probe = runExperiment(s.toConfig(spec.base));
-            return judge(cell.golden, probe).fail();
-        };
-        CampaignOutcome::Reproducer repro;
-        repro.minimized =
-            minimizeSchedule(row.schedule, still_fails, &repro.stats);
-        RunResult replay =
-            runExperiment(repro.minimized.toConfig(spec.base));
-        repro.judgement = judge(cell.golden, replay);
-        out.reproducers.push_back(std::move(repro));
-        ++minimized;
-    }
-    return out;
-}
-
-namespace
-{
-
-/** Sum the supervisor stats of one phase into the campaign total. */
-void
-accumulateStats(driver::ShardRunStats &total,
-                const driver::ShardRunStats &phase)
-{
-    total.shards = std::max(total.shards, phase.shards);
-    total.crashes += phase.crashes;
-    total.respawns += phase.respawns;
-    total.poisoned += phase.poisoned;
-    total.resumedJobs += phase.resumedJobs;
-    total.tornRecords += phase.tornRecords;
-    total.sweep.total += phase.sweep.total;
-    total.sweep.ok += phase.sweep.ok;
-    total.sweep.failed += phase.sweep.failed;
-    total.sweep.timedOut += phase.sweep.timedOut;
-    total.sweep.cancelled += phase.sweep.cancelled;
-    total.sweep.poisoned += phase.sweep.poisoned;
-    total.sweep.retries += phase.sweep.retries;
-    total.sweep.wallSeconds += phase.sweep.wallSeconds;
-}
-
-} // namespace
-
-CampaignOutcome
-runCampaignSharded(const CampaignSpec &spec,
-                   const ShardedCampaignOptions &opts,
-                   std::ostream *csv,
-                   driver::ShardRunStats *orchestration)
-{
-    CampaignOutcome out;
-    driver::ShardRunStats total;
-    if (csv)
-        *csv << chaosCsvHeader() << "\n";
-
-    struct Cell
-    {
-        Config config;
-        RunResult golden;
-        bool goldenOk = false;
-    };
-    std::vector<Cell> cells;
-    for (const std::string &wl : spec.workloads) {
-        for (Treatment t : spec.treatments)
-            cells.push_back({cellConfig(spec, wl, t), {}, false});
-    }
-
-    // Each phase runs under its own supervisor and journals into its
-    // own subdirectory: the two job lists have different shapes, so
-    // they must not share a MANIFEST.
-    auto phaseOptions = [&](const char *phase) {
-        driver::ShardOptions so = opts.shard;
-        so.journalDir = opts.shard.journalDir + "/" + phase;
-        return so;
-    };
-
-    // Phase 1: goldens, one process-isolated job per cell. The
-    // merged journal stream arrives in cell order, so the golden
-    // rows are identical to an in-process runCampaign's.
-    std::vector<driver::Job> golden_jobs;
-    for (const Cell &cell : cells)
-        golden_jobs.push_back({0, cell.config, "", 0.0});
-
-    std::uint64_t next_id = 0;
-    driver::FunctionSink golden_sink([&](const driver::JobResult &jr) {
-        Cell &cell = cells[jr.job.id];
-        CampaignRow row;
-        row.id = next_id++;
-        row.golden = true;
-        fillCell(row.schedule, cell.config);
-        row.schedule.campaignSeed = spec.campaignSeed;
-        row.status = jr.status;
-        row.run = jr.run;
-        if (jr.status == driver::JobStatus::Ok) {
-            cell.golden = jr.run;
-            cell.goldenOk = jr.run.outcome == RunOutcome::Completed;
-            row.goldenDigest = jr.run.resultDigest;
-            row.slowdown = 1.0;
-            row.judgement = {Verdict::Pass, "golden baseline"};
-        } else {
-            row.judgement = judgeJob(jr, {});
-            ++out.jobFailures;
-        }
-        if (csv)
-            *csv << chaosCsvRow(row) << "\n";
-        if (opts.collectRows)
-            out.rows.push_back(std::move(row));
-    });
-    {
-        driver::ShardSupervisor sup(phaseOptions("goldens"));
-        accumulateStats(
-            total, sup.run(std::move(golden_jobs), &golden_sink));
-    }
-
-    // Phase 2: the chaos matrix under process isolation. Schedule
-    // draw k of cell c is a pure function of (campaign seed,
-    // c * schedules + k, the cell's golden makespan), so the sink
-    // re-draws each delivered job's schedule on demand instead of
-    // buffering all of them -- with collectRows off the campaign
-    // holds one row at a time no matter how many schedules run.
+    // Phase 2: the chaos matrix. Schedule draw k of cell c is a pure
+    // function of (campaign seed, c * schedules + k, the cell's
+    // golden makespan as the window horizon), so the job list (and
+    // the CSV) is reproducible however execution interleaves, and
+    // the sink re-draws each delivered job's schedule on demand
+    // instead of buffering all of them: the campaign holds one row
+    // at a time no matter how many schedules run.
     ScheduleGenerator gen(spec.campaignSeed, spec.generator);
     auto drawSchedule = [&](std::uint64_t globalIndex) {
         const Cell &cell = cells[globalIndex / spec.schedules];
         ChaosSchedule sched = gen.generate(
             globalIndex, cell.goldenOk ? cell.golden.cycles : 0);
         fillCell(sched, cell.config);
+        // fillCell resets provenance inputs to the cell's; keep the
+        // draw identity.
         sched.campaignSeed = spec.campaignSeed;
         return sched;
     };
@@ -469,16 +280,10 @@ runCampaignSharded(const CampaignSpec &spec,
     }
 
     // Failures queued for phase 3 (bounded by minimizeLimit).
-    struct PendingFailure
-    {
-        ChaosSchedule schedule;
-        std::size_t cell;
-    };
-    std::vector<PendingFailure> to_minimize;
+    std::vector<ChaosSchedule> to_minimize;
 
     driver::FunctionSink chaos_sink([&](const driver::JobResult &jr) {
-        std::size_t c = jr.job.id / spec.schedules;
-        const Cell &cell = cells[c];
+        const Cell &cell = cells[jr.job.id / spec.schedules];
         CampaignRow row;
         row.id = next_id++;
         row.schedule = drawSchedule(jr.job.id);
@@ -505,34 +310,25 @@ runCampaignSharded(const CampaignSpec &spec,
             to_minimize.size() < spec.minimizeLimit &&
             row.judgement.fail() &&
             jr.status == driver::JobStatus::Ok) {
-            to_minimize.push_back({row.schedule, c});
+            to_minimize.push_back(row.schedule);
         }
         if (csv)
             *csv << chaosCsvRow(row) << "\n";
-        if (opts.collectRows)
-            out.rows.push_back(std::move(row));
     });
-    {
-        driver::ShardSupervisor sup(phaseOptions("chaos"));
-        accumulateStats(
-            total, sup.run(std::move(chaos_jobs), &chaos_sink));
-    }
+    executor.run("chaos", std::move(chaos_jobs), &chaos_sink);
 
-    if (orchestration)
-        *orchestration = total;
-
-    // Phase 3: shrink, exactly as runCampaign does -- probes replay
-    // in-process (each probe is the deterministic simulation the
-    // journals already proved out).
-    for (const PendingFailure &pf : to_minimize) {
-        const Cell &cell = cells[pf.cell];
+    // Phase 3: shrink the queued failures to 1-minimal reproducers.
+    // Probes replay synchronously (deterministically) in this
+    // process; the CSV is already complete.
+    for (const ChaosSchedule &failure : to_minimize) {
+        const Cell &cell = cells[failure.index / spec.schedules];
         auto still_fails = [&](const ChaosSchedule &s) {
             RunResult probe = runExperiment(s.toConfig(spec.base));
             return judge(cell.golden, probe).fail();
         };
         CampaignOutcome::Reproducer repro;
         repro.minimized =
-            minimizeSchedule(pf.schedule, still_fails, &repro.stats);
+            minimizeSchedule(failure, still_fails, &repro.stats);
         RunResult replay =
             runExperiment(repro.minimized.toConfig(spec.base));
         repro.judgement = judge(cell.golden, replay);

@@ -1,8 +1,9 @@
 /**
  * @file
  * The chaos campaign: N randomized fault schedules per evaluation
- * cell, executed on the sweep runner, judged by the differential
- * oracle, failures shrunk to replayable reproducers.
+ * cell, executed on a driver::Executor (worker threads or crash-safe
+ * shard processes), judged by the differential oracle, failures
+ * shrunk to replayable reproducers.
  *
  * A campaign runs in three phases:
  *
@@ -10,10 +11,10 @@
  *     fault-free to capture its end-state digest and makespan. The
  *     makespan doubles as the horizon for drawing firing windows.
  *  2. chaos: `schedules` generated scenarios per cell fan out
- *     through driver::Runner (retries, timeouts, any worker count);
- *     each result is judged against its cell's golden as it is
- *     delivered, in job-id order -- the campaign CSV is therefore
- *     byte-identical for 1 or N workers.
+ *     through the executor (retries, timeouts, any worker or shard
+ *     count, resume from journals); each result is judged against
+ *     its cell's golden as it is delivered, in job-id order -- the
+ *     campaign CSV is therefore byte-identical for any executor.
  *  3. minimize: the first few failures are delta-debugged down to
  *     1-minimal schedules; the caller can serialize those as
  *     reproducer spec files (writeScheduleSpec).
@@ -30,8 +31,7 @@
 #include "chaos/minimize.hh"
 #include "chaos/oracle.hh"
 #include "chaos/schedule.hh"
-#include "driver/runner.hh"
-#include "driver/supervisor.hh"
+#include "driver/executor.hh"
 
 namespace tmi::chaos
 {
@@ -85,8 +85,6 @@ struct CampaignRow
 /** Everything a campaign produced. */
 struct CampaignOutcome
 {
-    std::vector<CampaignRow> rows; //!< goldens, then chaos runs
-
     /** @name Chaos-run tallies (goldens not counted) */
     /// @{
     std::uint64_t judged = 0;
@@ -130,42 +128,16 @@ std::string chaosCsvRow(const CampaignRow &row);
 /// @}
 
 /**
- * Run @p spec on @p runner, streaming CSV rows to @p csv (header
- * included; null = no CSV). Row order -- and therefore the CSV --
- * depends only on the spec, never on worker count or timing.
+ * Run @p spec on @p executor, streaming CSV rows to @p csv (header
+ * included; null = no CSV). The goldens and chaos phases run as the
+ * executor's "goldens" and "chaos" job lists; row order -- and
+ * therefore the CSV -- depends only on the spec, never on worker or
+ * shard count, timing, or a resume from journals. Setup failures of
+ * the executor propagate as std::runtime_error.
  */
 CampaignOutcome runCampaign(const CampaignSpec &spec,
-                            driver::Runner &runner,
+                            driver::Executor &executor,
                             std::ostream *csv = nullptr);
-
-/** Orchestration policy for a crash-safe sharded campaign. */
-struct ShardedCampaignOptions
-{
-    /** Shards, journal dir (required), resume, kill budget... The
-     *  goldens and chaos phases journal into the `goldens/` and
-     *  `chaos/` subdirectories of ShardOptions::journalDir. */
-    driver::ShardOptions shard;
-    /** Retain every CampaignRow in the outcome (tests, benches).
-     *  Off (the default) keeps campaign memory flat: rows stream to
-     *  the CSV and the tallies, and only the few failures queued for
-     *  minimization are held. */
-    bool collectRows = false;
-};
-
-/**
- * runCampaign on the shard supervisor: worker processes instead of
- * worker threads, per-shard journals instead of in-memory buffering.
- * A crashing schedule costs its shard generation, not the campaign;
- * a supervisor killed at any point resumes (opts.shard.resume) from
- * the journals and still produces a CSV byte-identical to an
- * uninterrupted runCampaign of the same spec. @p orchestration (may
- * be null) receives the summed supervisor stats of both phases.
- */
-CampaignOutcome
-runCampaignSharded(const CampaignSpec &spec,
-                   const ShardedCampaignOptions &opts,
-                   std::ostream *csv = nullptr,
-                   driver::ShardRunStats *orchestration = nullptr);
 
 /**
  * Replay one schedule: run its cell fault-free for the golden, then

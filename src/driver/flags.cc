@@ -355,6 +355,15 @@ readFileOrExit(const char *tool, const std::string &path)
     return text;
 }
 
+std::ofstream
+writeFileOrExit(const char *tool, const std::string &path)
+{
+    std::ofstream os(path);
+    if (!os)
+        usageError(tool, "cannot write '" + path + "'");
+    return os;
+}
+
 void
 finishCampaignFlags(const char *tool, CliOptions &opts)
 {
@@ -371,25 +380,25 @@ finishCampaignFlags(const char *tool, CliOptions &opts)
 }
 
 ShardRunStats
-runCampaignFlags(
-    const char *tool, const char *tag, const CliOptions &opts,
-    const std::function<SweepStats(Runner &)> &inProcess,
-    const std::function<ShardRunStats(const ShardOptions &)> &sharded)
+runCampaignFlags(const char *tool, const char *tag,
+                 const CliOptions &opts,
+                 const std::function<void(Executor &)> &body)
 {
-    ShardRunStats stats;
     if (opts.shard.journalDir.empty()) {
-        Runner runner(opts.runner);
-        stats.sweep = inProcess(runner);
-        return stats;
+        Executor executor = Executor::inProcess(opts.runner);
+        body(executor);
+        return executor.stats();
     }
     ShardOptions shard = opts.shard;
     shard.runner = opts.runner;
     shard.runner.progress = false; // children share stderr
+    Executor executor = Executor::sharded(std::move(shard));
     try {
-        stats = sharded(shard);
+        body(executor);
     } catch (const std::exception &e) {
         usageError(tool, e.what());
     }
+    const ShardRunStats &stats = executor.stats();
     std::fprintf(stderr,
                  "[%s] %llu shard(s): %llu crash(es), %llu respawn(s), "
                  "%llu poisoned, %llu job(s) resumed from journals\n",

@@ -12,6 +12,7 @@
 #ifndef TMI_DRIVER_FLAGS_HH
 #define TMI_DRIVER_FLAGS_HH
 
+#include <fstream>
 #include <functional>
 #include <initializer_list>
 #include <string>
@@ -20,7 +21,7 @@
 #include <vector>
 
 #include "common/parse_number.hh"
-#include "driver/supervisor.hh"
+#include "driver/executor.hh"
 
 namespace tmi::driver
 {
@@ -104,18 +105,22 @@ void exitOnConfigErrors(const char *tool,
 /** @p path's contents, or a usage error. */
 std::string readFileOrExit(const char *tool, const std::string &path);
 
+/** @p path opened for writing (truncated), or a usage error. */
+std::ofstream writeFileOrExit(const char *tool, const std::string &path);
+
 /** After parsing the campaign flags: the shard flags need
  *  --journal-dir, progress stays off a stdout carrying the CSV, and
  *  logging goes quiet unless --verbose. */
 void finishCampaignFlags(const char *tool, CliOptions &opts);
 
-/** Run @p inProcess on a Runner or, with --journal-dir, @p sharded
- *  and print the "[TAG] N shard(s): ..." line; a supervisor error (bad
- *  journal directory, mismatched resume) is a usage error. */
+/** Run @p body on the executor @p opts selects: worker threads, or
+ *  with --journal-dir shard processes (shard.runner = opts.runner,
+ *  progress off) followed by the "[TAG] N shard(s): ..." line. A
+ *  supervisor setup error (bad journal directory, mismatched resume)
+ *  is a usage error. Returns the stats summed over every run. */
 ShardRunStats runCampaignFlags(
     const char *tool, const char *tag, const CliOptions &opts,
-    const std::function<SweepStats(Runner &)> &inProcess,
-    const std::function<ShardRunStats(const ShardOptions &)> &sharded);
+    const std::function<void(Executor &)> &body);
 
 } // namespace tmi::driver
 

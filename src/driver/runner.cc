@@ -23,6 +23,30 @@ joinErrors(const std::vector<ConfigError> &errors)
 
 } // namespace
 
+void
+SweepStats::count(const JobResult &result)
+{
+    switch (result.status) {
+      case JobStatus::Ok:
+        ++ok;
+        break;
+      case JobStatus::Failed:
+        ++failed;
+        break;
+      case JobStatus::TimedOut:
+        ++timedOut;
+        break;
+      case JobStatus::Cancelled:
+        ++cancelled;
+        break;
+      case JobStatus::Poisoned:
+        ++poisoned;
+        break;
+    }
+    if (result.attempts > 1)
+        retries += result.attempts - 1;
+}
+
 Runner::Runner(RunnerOptions options) : _opts(std::move(options))
 {
     if (_opts.maxAttempts == 0)
@@ -281,26 +305,7 @@ void
 Runner::deliver(JobResult &&result)
 {
     std::lock_guard<std::mutex> g(_deliverMutex);
-    switch (result.status) {
-      case JobStatus::Ok:
-        ++_stats.ok;
-        break;
-      case JobStatus::Failed:
-        ++_stats.failed;
-        break;
-      case JobStatus::TimedOut:
-        ++_stats.timedOut;
-        break;
-      case JobStatus::Cancelled:
-        ++_stats.cancelled;
-        break;
-      case JobStatus::Poisoned:
-        ++_stats.poisoned;
-        break;
-    }
-    if (result.attempts > 1)
-        _stats.retries += result.attempts - 1;
-
+    _stats.count(result);
     _pending.emplace(result.job.id, std::move(result));
     while (!_pending.empty() && _pending.begin()->first == _nextId) {
         JobResult &front = _pending.begin()->second;

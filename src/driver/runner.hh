@@ -84,6 +84,9 @@ struct SweepStats
     /** Extra executions beyond each job's first. */
     std::uint64_t retries = 0;
     double wallSeconds = 0;
+
+    /** Tally one delivered result: its status and its retries. */
+    void count(const JobResult &result);
 };
 
 /** Executes SweepSpecs / job lists. One run() at a time. */
@@ -116,8 +119,6 @@ class Runner
 
     /** Counters from the most recent run(). */
     const SweepStats &stats() const { return _stats; }
-
-    const RunnerOptions &options() const { return _opts; }
 
   private:
     struct WorkerQueue

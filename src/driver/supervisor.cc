@@ -561,25 +561,7 @@ ShardSupervisor::run(std::vector<Job> jobs, ResultSink *sink)
                 jr.error = "no journal record (shard never "
                            "completed this job)";
             }
-            switch (jr.status) {
-              case JobStatus::Ok:
-                ++_stats.sweep.ok;
-                break;
-              case JobStatus::Failed:
-                ++_stats.sweep.failed;
-                break;
-              case JobStatus::TimedOut:
-                ++_stats.sweep.timedOut;
-                break;
-              case JobStatus::Cancelled:
-                ++_stats.sweep.cancelled;
-                break;
-              case JobStatus::Poisoned:
-                ++_stats.sweep.poisoned;
-                break;
-            }
-            if (jr.attempts > 1)
-                _stats.sweep.retries += jr.attempts - 1;
+            _stats.sweep.count(jr);
             if (sink)
                 sink->onResult(jr);
         }

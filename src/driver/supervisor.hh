@@ -122,8 +122,6 @@ class ShardSupervisor
     /** Run (or resume) @p jobs; stream merged results to @p sink. */
     ShardRunStats run(std::vector<Job> jobs, ResultSink *sink);
 
-    const ShardOptions &options() const { return _opts; }
-
     /** Shard index covering a global job id under this partition
      *  (exposed for the tests; ranges are contiguous). */
     static std::pair<std::uint64_t, std::uint64_t>

@@ -9,12 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <set>
 #include <sstream>
 
 #include "chaos/campaign.hh"
+#include "common/fnv.hh"
 #include "common/mutation_fuzz.hh"
 #include "fault/fault_injector.hh"
 
@@ -419,6 +421,31 @@ smallSpec()
     return spec;
 }
 
+driver::Executor
+inProcess(unsigned workers)
+{
+    driver::RunnerOptions opts;
+    opts.workers = workers;
+    opts.progress = false;
+    return driver::Executor::inProcess(opts);
+}
+
+/** Column @p name of every data row of a campaign CSV. */
+std::vector<std::string>
+csvColumn(const std::string &csv, const std::string &name)
+{
+    std::istringstream in(csv);
+    std::string line;
+    std::getline(in, line);
+    std::vector<std::string> header = driver::splitList(line);
+    auto at = std::find(header.begin(), header.end(), name);
+    EXPECT_NE(at, header.end()) << "no CSV column " << name;
+    std::vector<std::string> cells;
+    while (at != header.end() && std::getline(in, line))
+        cells.push_back(driver::splitList(line).at(at - header.begin()));
+    return cells;
+}
+
 } // namespace
 
 TEST(Campaign, ValidateCatchesEmptyAxesAndBadCells)
@@ -439,24 +466,28 @@ TEST(Campaign, ValidateCatchesEmptyAxesAndBadCells)
 TEST(Campaign, TmiSurvivesTheSmallCampaignAndMatchesTheGolden)
 {
     CampaignSpec spec = smallSpec();
-    driver::RunnerOptions opts;
-    opts.workers = 2;
-    opts.progress = false;
-    driver::Runner runner(opts);
+    driver::Executor executor = inProcess(2);
     std::ostringstream csv;
-    CampaignOutcome out = runCampaign(spec, runner, &csv);
+    CampaignOutcome out = runCampaign(spec, executor, &csv);
 
-    ASSERT_EQ(out.rows.size(), 5u);
-    EXPECT_TRUE(out.rows[0].golden);
-    ASSERT_NE(out.rows[0].run.resultDigest, 0u);
+    std::vector<std::string> kind = csvColumn(csv.str(), "kind");
+    std::vector<std::string> verdict = csvColumn(csv.str(), "verdict");
+    std::vector<std::string> digest = csvColumn(csv.str(), "digest");
+    std::vector<std::string> golden_digest =
+        csvColumn(csv.str(), "golden_digest");
+    ASSERT_EQ(kind.size(), 5u);
+    ASSERT_EQ(verdict.size(), 5u);
+    ASSERT_EQ(digest.size(), 5u);
+    ASSERT_EQ(golden_digest.size(), 5u);
+    EXPECT_EQ(kind[0], "golden");
+    ASSERT_NE(digest[0], hashHex(0));
     EXPECT_EQ(out.judged, 4u);
     EXPECT_TRUE(out.allPassed()) << csv.str();
-    for (std::size_t i = 1; i < out.rows.size(); ++i) {
-        const CampaignRow &row = out.rows[i];
-        EXPECT_EQ(row.judgement.verdict, Verdict::Pass)
-            << row.judgement.reason;
-        EXPECT_EQ(row.run.resultDigest, out.rows[0].run.resultDigest);
-        EXPECT_EQ(row.goldenDigest, out.rows[0].run.resultDigest);
+    for (std::size_t i = 1; i < kind.size(); ++i) {
+        EXPECT_EQ(kind[i], "chaos");
+        EXPECT_EQ(verdict[i], verdictName(Verdict::Pass));
+        EXPECT_EQ(digest[i], digest[0]);
+        EXPECT_EQ(golden_digest[i], digest[0]);
     }
 }
 
@@ -465,12 +496,9 @@ TEST(Campaign, CsvIsByteIdenticalAcrossWorkerCounts)
     CampaignSpec spec = smallSpec();
     std::string csv_by_workers[2];
     for (unsigned i = 0; i < 2; ++i) {
-        driver::RunnerOptions opts;
-        opts.workers = i == 0 ? 1 : 4;
-        opts.progress = false;
-        driver::Runner runner(opts);
+        driver::Executor executor = inProcess(i == 0 ? 1 : 4);
         std::ostringstream csv;
-        runCampaign(spec, runner, &csv);
+        runCampaign(spec, executor, &csv);
         csv_by_workers[i] = csv.str();
     }
     EXPECT_EQ(csv_by_workers[0], csv_by_workers[1]);
@@ -503,15 +531,14 @@ struct TempDir
     std::string path;
 };
 
-ShardedCampaignOptions
+driver::ShardOptions
 shardedOptions(const std::string &dir, unsigned shards)
 {
-    ShardedCampaignOptions opts;
-    opts.shard.journalDir = dir;
-    opts.shard.shards = shards;
-    opts.shard.runner.workers = 1;
-    opts.shard.onEvent = [](const std::string &) {};
-    opts.collectRows = true;
+    driver::ShardOptions opts;
+    opts.journalDir = dir;
+    opts.shards = shards;
+    opts.runner.workers = 1;
+    opts.onEvent = [](const std::string &) {};
     return opts;
 }
 
@@ -521,19 +548,16 @@ TEST(ShardedCampaign, CsvMatchesTheInProcessCampaign)
 {
     CampaignSpec spec = smallSpec();
 
-    driver::RunnerOptions ro;
-    ro.workers = 1;
-    ro.progress = false;
-    driver::Runner runner(ro);
+    driver::Executor in_process = inProcess(1);
     std::ostringstream inproc;
-    CampaignOutcome golden = runCampaign(spec, runner, &inproc);
+    CampaignOutcome golden = runCampaign(spec, in_process, &inproc);
 
     TempDir dir;
     ASSERT_FALSE(dir.path.empty());
+    driver::Executor sharded_executor =
+        driver::Executor::sharded(shardedOptions(dir.path, 2));
     std::ostringstream sharded;
-    driver::ShardRunStats stats;
-    CampaignOutcome out = runCampaignSharded(
-        spec, shardedOptions(dir.path, 2), &sharded, &stats);
+    CampaignOutcome out = runCampaign(spec, sharded_executor, &sharded);
 
     // Worker processes + journal merge leave no trace in the CSV.
     EXPECT_EQ(sharded.str(), inproc.str());
@@ -542,13 +566,13 @@ TEST(ShardedCampaign, CsvMatchesTheInProcessCampaign)
     EXPECT_EQ(out.failed, golden.failed);
     EXPECT_EQ(out.jobFailures, 0u);
     EXPECT_TRUE(out.clean());
+    // Both executors count the goldens and the chaos phase.
+    const driver::ShardRunStats &stats = sharded_executor.stats();
+    EXPECT_EQ(in_process.stats().sweep.total, spec.totalRuns());
+    EXPECT_EQ(stats.sweep.total, spec.totalRuns());
     EXPECT_EQ(stats.crashes, 0u);
+    EXPECT_TRUE(in_process.stats().allOk());
     EXPECT_TRUE(stats.allOk());
-    ASSERT_EQ(out.rows.size(), golden.rows.size());
-    for (std::size_t i = 0; i < out.rows.size(); ++i) {
-        EXPECT_EQ(out.rows[i].run.resultDigest,
-                  golden.rows[i].run.resultDigest);
-    }
 }
 
 TEST(ShardedCampaign, ResumeReplaysOnlyTheLostShard)
@@ -558,8 +582,9 @@ TEST(ShardedCampaign, ResumeReplaysOnlyTheLostShard)
     TempDir dir;
     ASSERT_FALSE(dir.path.empty());
     std::ostringstream first;
-    CampaignOutcome a = runCampaignSharded(
-        spec, shardedOptions(dir.path, 2), &first);
+    driver::Executor a_executor =
+        driver::Executor::sharded(shardedOptions(dir.path, 2));
+    CampaignOutcome a = runCampaign(spec, a_executor, &first);
     EXPECT_TRUE(a.clean());
 
     // A kill mid-campaign, modeled by its on-disk aftermath: one
@@ -567,17 +592,16 @@ TEST(ShardedCampaign, ResumeReplaysOnlyTheLostShard)
     std::filesystem::remove(
         driver::ShardSupervisor::journalPath(dir.path + "/chaos", 1));
 
-    ShardedCampaignOptions resume = shardedOptions(dir.path, 2);
-    resume.shard.resume = true;
+    driver::ShardOptions resume = shardedOptions(dir.path, 2);
+    resume.resume = true;
+    driver::Executor b_executor = driver::Executor::sharded(resume);
     std::ostringstream second;
-    driver::ShardRunStats stats;
-    CampaignOutcome b = runCampaignSharded(
-        spec, resume, &second, &stats);
+    CampaignOutcome b = runCampaign(spec, b_executor, &second);
 
     EXPECT_EQ(second.str(), first.str()); // byte-identical resume
     EXPECT_TRUE(b.clean());
     // Goldens (1) + chaos shard 0 (2 jobs) were already journaled.
-    EXPECT_EQ(stats.resumedJobs, 3u);
+    EXPECT_EQ(b_executor.stats().resumedJobs, 3u);
 }
 
 TEST(ShardedCampaign, PoisonedScheduleFailsTheCampaignVisibly)
@@ -586,29 +610,110 @@ TEST(ShardedCampaign, PoisonedScheduleFailsTheCampaignVisibly)
 
     TempDir dir;
     ASSERT_FALSE(dir.path.empty());
-    ShardedCampaignOptions opts = shardedOptions(dir.path, 2);
+    driver::ShardOptions opts = shardedOptions(dir.path, 2);
     // Chaos job 2 (goldens run fault-free, so keying on the armed
     // fault list spares the golden phase) kills its worker on every
     // attempt until the supervisor quarantines it.
-    opts.shard.childFaultHook =
+    opts.childFaultHook =
         [](const driver::Job &job, std::uint64_t globalId, unsigned) {
             if (globalId == 2 && !job.config.run.faults.empty())
                 std::abort();
         };
 
     std::ostringstream csv;
-    driver::ShardRunStats stats;
-    CampaignOutcome out =
-        runCampaignSharded(spec, opts, &csv, &stats);
+    driver::Executor executor = driver::Executor::sharded(opts);
+    CampaignOutcome out = runCampaign(spec, executor, &csv);
 
-    EXPECT_EQ(stats.poisoned, 1u);
-    EXPECT_EQ(stats.crashes, 2u);
+    EXPECT_EQ(executor.stats().poisoned, 1u);
+    EXPECT_EQ(executor.stats().crashes, 2u);
     EXPECT_EQ(out.jobFailures, 1u);
     EXPECT_EQ(out.failed, 1u); // judged RunFailed, not dropped
     EXPECT_FALSE(out.clean());
     EXPECT_NE(csv.str().find(",poisoned,"), std::string::npos);
     // The other three schedules still ran and passed.
     EXPECT_EQ(out.passed, 3u);
+}
+
+TEST(ShardedCampaign, ReproducersMatchInProcessAndSharded)
+{
+    // Every schedule of this cell trips the seeded dissolve-ordering
+    // regression; phase 3 shrinks the first minimizeLimit of them.
+    CampaignSpec spec;
+    spec.base.run.workload = "histogramfs";
+    spec.base.run.treatment = Treatment::SheriffProtect;
+    spec.base.run.watchdog = 1;
+    spec.base.run.watchdogTimeout = 100'000;
+    spec.base.run.analysisInterval = 50'000;
+    spec.workloads = {"histogramfs"};
+    spec.treatments = {Treatment::SheriffProtect};
+    spec.sheriffBuggyDissolve = true;
+    spec.schedules = 4;
+    spec.campaignSeed = 1;
+    spec.generator.minEvents = 3;
+    spec.generator.maxEvents = 4;
+    spec.minimizeLimit = 2;
+
+    // Pinned from the campaign before its two pipelines were merged
+    // into one: the CSV's FNV-1a and both minimized specs.
+    const char *const kCsvHash = "aabff4460380d354";
+    const char *const kRepro[] = {
+        R"(# tmi-chaos schedule (replay: tmi-chaos replay <file>)
+workload = histogramfs
+treatment = sheriff-protect
+threads = 4
+scale = 1
+seed = 42
+budget = 400000000000
+fault_seed = 5784487560303719836
+buggy_dissolve = 1
+watchdog = 1
+watchdog_timeout = 100000
+interval = 50000
+campaign_seed = 1
+event = alloc.size_class_exhausted p=0.052528701625762557 window=1119232:2224567
+)",
+        R"(# tmi-chaos schedule (replay: tmi-chaos replay <file>)
+workload = histogramfs
+treatment = sheriff-protect
+threads = 4
+scale = 1
+seed = 42
+budget = 400000000000
+fault_seed = 5261405265481498448
+buggy_dissolve = 1
+watchdog = 1
+watchdog_timeout = 100000
+interval = 50000
+campaign_seed = 1
+index = 1
+event = perf.ring_overflow p=0.26611641063154778 window=879911:2281798
+)"};
+    const std::size_t kOriginalEvents[] = {3, 4};
+
+    TempDir dir;
+    ASSERT_FALSE(dir.path.empty());
+    driver::Executor in_process = inProcess(1);
+    driver::Executor sharded =
+        driver::Executor::sharded(shardedOptions(dir.path, 2));
+    for (driver::Executor *executor : {&in_process, &sharded}) {
+        std::ostringstream csv;
+        CampaignOutcome out = runCampaign(spec, *executor, &csv);
+        ASSERT_GE(out.failed, 1u) << csv.str();
+        EXPECT_EQ(out.failed, 4u);
+        EXPECT_EQ(hashHex(Fnv1a().str(csv.str()).h), kCsvHash)
+            << csv.str();
+        EXPECT_EQ(executor->stats().sweep.total, spec.totalRuns());
+        ASSERT_EQ(out.reproducers.size(), 2u);
+        for (std::size_t i = 0; i < 2; ++i) {
+            const CampaignOutcome::Reproducer &r = out.reproducers[i];
+            EXPECT_EQ(writeScheduleSpec(r.minimized), kRepro[i]);
+            EXPECT_EQ(r.stats.originalEvents, kOriginalEvents[i]);
+            EXPECT_EQ(r.stats.minimizedEvents, 1u);
+            EXPECT_EQ(r.stats.probes, 2u);
+            EXPECT_EQ(r.judgement.verdict, Verdict::InvariantViolation)
+                << r.judgement.reason;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
