@@ -26,7 +26,7 @@
 #include "common/parse_number.hh"
 #include "core/config.hh"
 #include "core/experiment.hh"
-#include "driver/runner.hh"
+#include "driver/executor.hh"
 #include "workloads/workload.hh"
 
 namespace tmi::bench
@@ -221,7 +221,15 @@ runTreatmentMatrix(const std::vector<std::string> &workloads,
 {
     driver::RunnerOptions opts;
     opts.workers = benchWorkers();
-    driver::Runner runner(opts);
+    driver::Executor executor = driver::Executor::inProcess(opts);
+    auto run = [&](std::vector<driver::Job> jobs) {
+        std::vector<RunResult> results;
+        driver::FunctionSink sink([&](const driver::JobResult &r) {
+            results.push_back(r.run);
+        });
+        executor.run("", std::move(jobs), &sink);
+        return results;
+    };
 
     auto cell = [&](const std::string &workload, Treatment t,
                     Cycles budget) {
@@ -238,8 +246,7 @@ runTreatmentMatrix(const std::vector<std::string> &workloads,
     std::vector<driver::Job> base_jobs;
     for (const std::string &w : workloads)
         base_jobs.push_back(cell(w, Treatment::Pthreads, 0));
-    std::vector<driver::JobResult> bases =
-        runner.run(std::move(base_jobs));
+    std::vector<RunResult> bases = run(std::move(base_jobs));
 
     std::vector<driver::Job> treated_jobs;
     for (std::size_t i = 0; i < workloads.size(); ++i) {
@@ -247,20 +254,18 @@ runTreatmentMatrix(const std::vector<std::string> &workloads,
             Cycles budget = 0;
             if (t == Treatment::SheriffDetect ||
                 t == Treatment::SheriffProtect) {
-                budget = bases[i].run.cycles * sheriff_budget_factor;
+                budget = bases[i].cycles * sheriff_budget_factor;
             }
             treated_jobs.push_back(cell(workloads[i], t, budget));
         }
     }
-    std::vector<driver::JobResult> treated =
-        runner.run(std::move(treated_jobs));
+    std::vector<RunResult> treated = run(std::move(treated_jobs));
 
     std::vector<TreatmentRow> rows(workloads.size());
     for (std::size_t i = 0; i < workloads.size(); ++i) {
-        rows[i].base = bases[i].run;
+        rows[i].base = bases[i];
         for (std::size_t j = 0; j < treatments.size(); ++j)
-            rows[i].treated.push_back(
-                treated[i * treatments.size() + j].run);
+            rows[i].treated.push_back(treated[i * treatments.size() + j]);
     }
     return rows;
 }

@@ -163,7 +163,6 @@ main()
 
     driver::RunnerOptions opts;
     opts.workers = benchWorkers();
-    driver::Runner runner(opts);
 
     std::uint64_t clean_cycles = 0;
     driver::FunctionSink sink([&](const driver::JobResult &r) {
@@ -190,7 +189,7 @@ main()
                 robustnessCsvRow(r.run, scenario, slow).c_str());
         bad += !r.run.compatible;
     });
-    runner.run(spec, &sink);
+    driver::Executor::inProcess(opts).run("", spec.expand(), &sink);
 
     std::printf("\n%u faulted run(s) lost correctness or hung "
                 "(contract: 0)\n",

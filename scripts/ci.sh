@@ -273,9 +273,10 @@ grep -q "^\[chaos:server\] .* 8 job(s) resumed" "$bench_err"
 # exactly the checked-in golden layout plan (profile -> plan is
 # deterministic), and a huron-static sweep -- both the self-profiling
 # cells and a pure replay of the golden plan via --plan-in -- must be
-# byte-identical on 1 and 4 workers, cut each workload's HITMs at
-# least 5x against its pthreads row, and report zero profile HITMs on
-# the pure replay (profiling really was skipped).
+# byte-identical on 1 and 4 workers (the self-profiling cells on 2
+# shards too), cut each workload's HITMs at least 5x against its
+# pthreads row, and report zero profile HITMs on the pure replay
+# (profiling really was skipped).
 echo "=== huron-static golden plan + profile->plan->replay smoke ==="
 plan_out="$work/plan.txt"
 huron1="$work/huron1.csv"
@@ -289,6 +290,12 @@ huron_args=(--workloads histogramfs,lreg,spinlockpool
     --treatments pthreads,huron-static --scales 4 --interval 500000
     --no-progress)
 on_1_and_n "$huron1" 4 ./build/examples/tmi-sweep "${huron_args[@]}"
+# The same matrix on the shard supervisor: the two-phase cells and
+# their multi-line plan text cross worker processes and the journal
+# codec, and must merge to the same bytes.
+./build/examples/tmi-sweep "${huron_args[@]}" --shards 2 \
+    --journal-dir "$shard_dir/huron" --csv "$huron1.sh"
+cmp "$huron1" "$huron1.sh"
 python3 scripts/check_sweep.py "$huron1" --expect-rows 6 --expect-ok
 csv_awk '{ hitm[col("workload") "," col("treatment")] = col("hitm_events")
         if (col("treatment") == "huron-static" \

@@ -11,15 +11,17 @@ HtmRuntime::HtmRuntime(Machine &machine, const HtmConfig &config)
 {
     TMI_ASSERT(_cfg.maxRetries >= 1, "htm needs at least one attempt");
     TMI_ASSERT(_cfg.stormThreshold >= 1);
-    // The lock-word subscription read: 4 bytes, matching the width
-    // the machine's sync.lock.cas traffic stores.
-    _pcLockProbe = _m.instructions().define("htm.lock.probe",
-                                            MemKind::Load, 4);
 }
 
 void
 HtmRuntime::attach()
 {
+    // The lock-word subscription read: 4 bytes, matching the width
+    // the machine's sync.lock.cas traffic stores. Defined here, not
+    // at construction: PC numbering is simulated state, and the
+    // workload's init defines its PCs first.
+    _pcLockProbe = _m.instructions().define("htm.lock.probe",
+                                            MemKind::Load, 4);
     _m.setHooks(this);
 }
 
@@ -249,7 +251,7 @@ HtmRuntime::tryRecoverUp(SiteState &site, Addr caddr, Cycles now)
 }
 
 void
-HtmRuntime::harvest(RunResult &res) const
+HtmRuntime::harvest(RunResult &res)
 {
     res.repairActive = elisionActive();
     res.txnCommits = _m.txnCommitCount();

@@ -145,7 +145,7 @@ class HtmRuntime : public RepairRuntime
     /** Register stats under @p group. */
     void regStats(stats::StatGroup &group) override;
 
-    void harvest(RunResult &res) const override;
+    void harvest(RunResult &res) override;
 
   private:
     /** Per-lock-site elision state, keyed by canonical address. */

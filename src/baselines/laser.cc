@@ -262,7 +262,7 @@ LaserRuntime::degradeToDetectOnly(const char *reason)
 }
 
 void
-LaserRuntime::harvest(RunResult &res) const
+LaserRuntime::harvest(RunResult &res)
 {
     res.repairActive = repairActive();
     res.fsEventsEstimated = _detector.fsEventsEstimated();

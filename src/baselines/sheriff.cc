@@ -354,7 +354,7 @@ SheriffRuntime::totalConflictBytes() const
 }
 
 void
-SheriffRuntime::harvest(RunResult &res) const
+SheriffRuntime::harvest(RunResult &res)
 {
     res.repairActive = true;
     res.commits = totalCommits();

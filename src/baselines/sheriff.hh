@@ -150,7 +150,7 @@ class SheriffRuntime : public RepairRuntime
     /** Register stats under @p group. */
     void regStats(stats::StatGroup &group) override;
 
-    void harvest(RunResult &res) const override;
+    void harvest(RunResult &res) override;
 
   private:
     void commitThread(ThreadId tid);

@@ -1,6 +1,5 @@
 #include "experiment.hh"
 
-#include <functional>
 #include <sstream>
 
 #include "baselines/htm.hh"
@@ -10,7 +9,6 @@
 #include "core/csv.hh"
 #include "runtime/tmi_runtime.hh"
 #include "staticrepair/applier.hh"
-#include "staticrepair/planner.hh"
 #include "staticrepair/profiler.hh"
 #include "workloads/workload.hh"
 
@@ -102,6 +100,35 @@ makeHtm(Machine &machine, const Config &full)
     return std::make_unique<HtmRuntime>(machine, hc);
 }
 
+/** huron-static's profiling run: TMI's detector without the repair
+ *  arm, tuned like the cell's detection knobs. */
+std::unique_ptr<RepairRuntime>
+makeHuronProfiler(Machine &machine, const Config &full)
+{
+    const ExperimentConfig &config = full.run;
+    staticrepair::ProfilerConfig pc;
+    pc.detector.samplePeriod = config.perfPeriod;
+    pc.detector.repairThreshold = config.repairThreshold;
+    pc.detector.pageShift = config.pageShift;
+    pc.analysisInterval = config.analysisInterval;
+    return std::make_unique<staticrepair::StaticProfiler>(machine, pc);
+}
+
+/** huron-static's replay: apply run.planIn at allocation time. */
+std::unique_ptr<RepairRuntime>
+makeHuronApplier(Machine &machine, const Config &full)
+{
+    staticrepair::LayoutPlan plan;
+    std::string perr;
+    if (!staticrepair::parsePlan(full.run.planIn, plan, perr))
+        fatal("bad planIn: %s", perr.c_str());
+    return std::make_unique<staticrepair::PlanApplier>(machine,
+                                                       std::move(plan));
+}
+
+using RuntimeFactory = std::unique_ptr<RepairRuntime> (*)(Machine &,
+                                                         const Config &);
+
 /** One treatment: everything the driver needs to know about it. */
 struct TreatmentRow
 {
@@ -113,11 +140,13 @@ struct TreatmentRow
      *  Sheriff); the rest run the stock allocator on anonymous
      *  memory. */
     bool shmBackedHeap;
-    /** Builds the runtime from the cell's Config; null = no runtime.
-     *  huron-static is null too: its two phases run plain machines
-     *  and bring their profiler/applier through runCell's callbacks
-     *  (runHuronStatic below). */
-    std::unique_ptr<RepairRuntime> (*make)(Machine &, const Config &);
+    /** Builds the runtime from the cell's Config; null = no runtime. */
+    RuntimeFactory make;
+    /** An offline repair's profiling runtime (huron-static only). A
+     *  cell without run.planIn first runs a profiling cell under it;
+     *  the plan that run harvests reaches @ref make as run.planIn,
+     *  the same text path --plan-in takes. */
+    RuntimeFactory profile = nullptr;
 };
 
 /** Every treatment, in declaration (= report) order. */
@@ -148,7 +177,7 @@ constexpr TreatmentRow kTreatments[] = {
     {Treatment::HuronStatic, "huron-static",
      "Huron-style offline repair: profile, plan layout, replay with "
      "apply-at-alloc",
-     false, nullptr},
+     false, makeHuronApplier, makeHuronProfiler},
     {Treatment::HtmElide, "htm-elide",
      "HTM lock elision: bounded txns with retry/fallback and an "
      "abort-storm watchdog",
@@ -356,16 +385,10 @@ runExperiment(const ExperimentConfig &config)
 namespace
 {
 
-/**
- * Run one machine+workload cell. @p prepare runs right after machine
- * construction (install alloc hooks / profilers); @p finish runs
- * before the machine dies (harvest anything that needs live machine
- * state). Both may be null.
- */
+/** Run one machine+workload cell under @p make's runtime (null =
+ *  none), in the order repair_runtime.hh describes. */
 RunResult
-runCell(const Config &full,
-        const std::function<void(Machine &)> &prepare,
-        const std::function<void(Machine &, RunResult &)> &finish)
+runCell(const Config &full, RuntimeFactory make)
 {
     const ExperimentConfig &config = full.run;
     const WorkloadInfo &info = findWorkload(config.workload);
@@ -403,8 +426,9 @@ runCell(const Config &full,
     mc.trace = config.trace;
 
     Machine machine(mc);
-    if (prepare)
-        prepare(machine);
+    std::unique_ptr<RepairRuntime> runtime;
+    if (make)
+        runtime = make(machine, full);
 
     WorkloadParams params;
     params.threads = config.threads;
@@ -423,12 +447,8 @@ runCell(const Config &full,
     }
     std::unique_ptr<Workload> workload = info.make(params);
     workload->init(machine);
-
-    std::unique_ptr<RepairRuntime> runtime;
-    if (treatment.make) {
-        runtime = treatment.make(machine, full);
+    if (runtime)
         runtime->attach();
-    }
 
     Workload *wl = workload.get();
     machine.spawnThread(std::string(info.name) + "-main",
@@ -541,87 +561,6 @@ runCell(const Config &full,
             .add(static_cast<double>(rec->overwritten()));
         res.traceEvents = rec->drain();
     }
-    if (finish)
-        finish(machine, res);
-    return res;
-}
-
-/**
- * The huron-static treatment: a two-phase offline repair.
- *
- * Phase 1 (skipped when a plan is supplied via planIn) runs the
- * workload on a plain pthreads-configured machine with the profiling
- * daemon attached, harvests the contended-line evidence into a
- * LayoutProfile, and plans the layout. Phase 2 replays the workload
- * on a fresh identical machine with the PlanApplier intercepting
- * allocation. The returned result is the replay's; the profiling
- * phase contributes only planProfileHitms and the plan itself.
- */
-RunResult
-runHuronStatic(const Config &full)
-{
-    const ExperimentConfig &config = full.run;
-    staticrepair::LayoutPlan plan;
-    std::uint64_t profileHitms = 0;
-
-    if (!config.planIn.empty()) {
-        std::string perr;
-        if (!staticrepair::parsePlan(config.planIn, plan, perr))
-            fatal("bad planIn: %s", perr.c_str());
-    } else {
-        Config pcfg = full;
-        // The profiling phase exists to produce the plan; its own
-        // stats/trace capture would only be discarded.
-        pcfg.run.dumpStats = false;
-        pcfg.run.trace = obs::TraceConfig{};
-        staticrepair::ProfilerConfig prof_cfg;
-        prof_cfg.detector.samplePeriod = config.perfPeriod;
-        prof_cfg.detector.repairThreshold = config.repairThreshold;
-        prof_cfg.detector.pageShift = config.pageShift;
-        prof_cfg.analysisInterval = config.analysisInterval;
-        std::unique_ptr<staticrepair::StaticProfiler> profiler;
-        staticrepair::LayoutProfile profile;
-        RunResult pres = runCell(
-            pcfg,
-            [&](Machine &m) {
-                profiler =
-                    std::make_unique<staticrepair::StaticProfiler>(
-                        m, prof_cfg);
-                profiler->attach();
-            },
-            [&](Machine &m, RunResult &) {
-                (void)m;
-                profile = profiler->harvest();
-            });
-        profileHitms = pres.hitmEvents;
-        profiler.reset();
-        if (pres.outcome != RunOutcome::Completed) {
-            // The profiling run wedged: report it as the cell's
-            // outcome rather than replaying from garbage evidence.
-            pres.planProfileHitms = profileHitms;
-            return pres;
-        }
-        plan = staticrepair::LayoutPlanner().plan(profile);
-    }
-
-    std::unique_ptr<staticrepair::PlanApplier> applier;
-    RunResult res = runCell(
-        full,
-        [&](Machine &m) {
-            applier = std::make_unique<staticrepair::PlanApplier>(
-                m, plan);
-            m.setAllocHook(applier.get());
-        },
-        [&](Machine &m, RunResult &r) {
-            (void)m;
-            r.planSites = plan.sites.size();
-            r.planAppliedSites = applier->appliedSites();
-            r.planPaddingBytes = applier->paddingBytes();
-            r.planRedirectedSites = applier->redirectedSites();
-            r.overheadBytes += applier->paddingBytes();
-        });
-    res.planProfileHitms = profileHitms;
-    res.planText = staticrepair::writePlan(plan);
     return res;
 }
 
@@ -631,9 +570,26 @@ RunResult
 runExperiment(const Config &full)
 {
     full.validateOrDie();
-    if (full.run.treatment == Treatment::HuronStatic)
-        return runHuronStatic(full);
-    return runCell(full, nullptr, nullptr);
+    const TreatmentRow &row = treatmentRow(full.run.treatment);
+    if (!row.profile || !full.run.planIn.empty())
+        return runCell(full, row.make);
+
+    // The profiling run exists to produce the plan; its own
+    // stats/trace capture would only be discarded. A wedged one is
+    // reported as the cell's outcome rather than replaying from
+    // partial evidence.
+    Config profiling = full;
+    profiling.run.dumpStats = false;
+    profiling.run.trace = obs::TraceConfig{};
+    RunResult profile = runCell(profiling, row.profile);
+    if (profile.outcome != RunOutcome::Completed)
+        return profile;
+
+    Config replay = full;
+    replay.run.planIn = profile.planText;
+    RunResult res = runCell(replay, row.make);
+    res.planProfileHitms = profile.planProfileHitms;
+    return res;
 }
 
 const char *

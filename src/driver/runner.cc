@@ -56,36 +56,6 @@ Runner::Runner(RunnerOptions options) : _opts(std::move(options))
 }
 
 std::vector<JobResult>
-Runner::run(const SweepSpec &spec, ResultSink *sink)
-{
-    std::vector<ConfigError> errors = spec.validate();
-    if (!errors.empty()) {
-        // Nothing runs: every cell of the (attempted) expansion is
-        // reported Failed carrying the full error list, so a bad
-        // spec is visible in the output instead of silently empty.
-        std::string joined = joinErrors(errors);
-        std::vector<JobResult> results;
-        std::vector<Job> jobs = spec.expand();
-        results.reserve(jobs.size());
-        for (Job &job : jobs) {
-            JobResult r;
-            r.job = std::move(job);
-            r.status = JobStatus::Failed;
-            r.attempts = 0;
-            r.error = joined;
-            if (sink)
-                sink->onResult(r);
-            results.push_back(std::move(r));
-        }
-        _stats = {};
-        _stats.total = results.size();
-        _stats.failed = results.size();
-        return results;
-    }
-    return run(spec.expand(), sink);
-}
-
-std::vector<JobResult>
 Runner::run(std::vector<Job> jobs, ResultSink *sink)
 {
     // Delivery order is input order, whatever ids the caller chose.

@@ -89,20 +89,16 @@ struct SweepStats
     void count(const JobResult &result);
 };
 
-/** Executes SweepSpecs / job lists. One run() at a time. */
+/** Executes job lists. One run() at a time. */
 class Runner
 {
   public:
     explicit Runner(RunnerOptions options = {});
 
-    /** Expand and run @p spec. Results (and sink deliveries) are in
-     *  job-id order. A spec that fails validate() runs nothing and
-     *  reports every job Failed with the error list. */
-    std::vector<JobResult> run(const SweepSpec &spec,
-                               ResultSink *sink = nullptr);
-
-    /** Run an explicit job list. Ids are reassigned densely in input
-     *  order (input order == delivery order). */
+    /** Run a job list (e.g. a SweepSpec's expand()). Ids are
+     *  reassigned densely in input order, and results (and sink
+     *  deliveries) arrive in that order. A job whose config fails
+     *  validation is reported Failed with the error list, unrun. */
     std::vector<JobResult> run(std::vector<Job> jobs,
                                ResultSink *sink = nullptr);
 

@@ -707,7 +707,7 @@ TmiRuntime::overheadBytes() const
 }
 
 void
-TmiRuntime::harvest(RunResult &res) const
+TmiRuntime::harvest(RunResult &res)
 {
     res.repairActive = repairActive();
     res.repairStartCycles = repairStartCycles();

@@ -207,7 +207,7 @@ class TmiRuntime : public RepairRuntime
     /** Register stats under @p group. */
     void regStats(stats::StatGroup &group) override;
 
-    void harvest(RunResult &res) const override;
+    void harvest(RunResult &res) override;
 
   private:
     void detectionLoop(ThreadApi &api);

@@ -7,7 +7,20 @@ namespace tmi::staticrepair
 
 PlanApplier::PlanApplier(Machine &machine, LayoutPlan plan)
     : _m(machine), _plan(std::move(plan))
-{}
+{
+    _m.setAllocHook(this);
+}
+
+void
+PlanApplier::harvest(RunResult &res)
+{
+    res.planSites = _plan.sites.size();
+    res.planAppliedSites = _applied;
+    res.planPaddingBytes = _padding;
+    res.planRedirectedSites = _redirected;
+    res.overheadBytes += _padding;
+    res.planText = writePlan(_plan);
+}
 
 Addr
 PlanApplier::onAlloc(ThreadId tid, const std::string &key,

@@ -1,7 +1,7 @@
 /**
  * @file
- * The plan applier: an AllocHook that places profiled allocation
- * sites according to a LayoutPlan during the replay run.
+ * The plan applier: the huron-static replay's runtime, an AllocHook
+ * that places profiled allocation sites according to a LayoutPlan.
  *
  * Pad sites are simply realigned and rounded up; Split/Spread sites
  * additionally install machine-level redirection segments so every
@@ -16,16 +16,30 @@
 
 #include <set>
 
+#include "runtime/repair_runtime.hh"
 #include "staticrepair/layout_plan.hh"
 
 namespace tmi::staticrepair
 {
 
 /** Phase-2 allocation interceptor. */
-class PlanApplier : public AllocHook
+class PlanApplier : public AllocHook, public RepairRuntime
 {
   public:
+    /** Installs itself as @p machine's alloc hook: built before the
+     *  workload allocates, it places every allocation. */
     PlanApplier(Machine &machine, LayoutPlan plan);
+
+    /** Nothing left to install: the alloc hook went in at
+     *  construction, and the replay runs no helper thread. */
+    void attach() override {}
+
+    /** The applier keeps no counters of its own. */
+    void regStats(stats::StatGroup &) override {}
+
+    /** The plan and its apply telemetry (plan* fields, the padding
+     *  as overheadBytes, the plan's text). */
+    void harvest(RunResult &res) override;
 
     Addr onAlloc(ThreadId tid, const std::string &key,
                  std::uint64_t bytes, Addr alignment) override;
@@ -40,8 +54,6 @@ class PlanApplier : public AllocHook
     /** Placed allocations that installed redirection segments. */
     std::uint64_t redirectedSites() const { return _redirected; }
     /// @}
-
-    const LayoutPlan &plan() const { return _plan; }
 
   private:
     Machine &_m;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "staticrepair/planner.hh"
+
 namespace tmi::staticrepair
 {
 
@@ -44,8 +46,16 @@ StaticProfiler::loop()
     }
 }
 
+void
+StaticProfiler::harvest(RunResult &res)
+{
+    res.planProfileHitms = res.hitmEvents;
+    if (res.outcome == RunOutcome::Completed)
+        res.planText = writePlan(LayoutPlanner().plan(profile()));
+}
+
 LayoutProfile
-StaticProfiler::harvest()
+StaticProfiler::profile()
 {
     // Records sampled after the daemon's last wakeup would otherwise
     // be lost; classification cost no longer matters post-run.

@@ -5,13 +5,15 @@
  * cadence and charges classification/analysis cost to its own system
  * thread, so a profiling run models the in-house profiling tax; at
  * run end, harvest() attributes the contended lines to allocation
- * sites through the machine's allocation log.
+ * sites through the machine's allocation log and plans the layout
+ * the replay applies.
  */
 
 #ifndef TMI_STATICREPAIR_PROFILER_HH
 #define TMI_STATICREPAIR_PROFILER_HH
 
 #include "detect/detector.hh"
+#include "runtime/repair_runtime.hh"
 #include "staticrepair/profile.hh"
 
 namespace tmi::staticrepair
@@ -30,25 +32,32 @@ struct ProfilerConfig
 };
 
 /** Phase-1 profiler: observe, never repair. */
-class StaticProfiler
+class StaticProfiler : public RepairRuntime
 {
   public:
     StaticProfiler(Machine &machine, const ProfilerConfig &config);
 
-    /** Spawn the daemon detection thread (before the workload). */
-    void attach();
+    /** Spawn the daemon detection thread. */
+    void attach() override;
+
+    /** The profiler keeps no counters of its own. */
+    void regStats(stats::StatGroup &) override {}
 
     /**
-     * Build the profile after the run: drain any leftover records,
-     * then attribute the hottest contended lines to the live
-     * allocations covering them.
+     * Record the run's HITMs as the profile's; if the run completed,
+     * also plan the layout from the profile into planText. A wedged
+     * run's evidence is partial, so it plans nothing.
      */
-    LayoutProfile harvest();
-
-    const Detector &detector() const { return _detector; }
+    void harvest(RunResult &res) override;
 
   private:
     void loop();
+
+    /**
+     * Drain any leftover records, then attribute the hottest
+     * contended lines to the live allocations covering them.
+     */
+    LayoutProfile profile();
 
     Machine &_m;
     ProfilerConfig _cfg;

@@ -41,7 +41,7 @@ sweepCsv(const SweepSpec &spec, unsigned workers)
     RunnerOptions opts;
     opts.workers = workers;
     Runner runner(opts);
-    runner.run(spec, &sink);
+    runner.run(spec.expand(), &sink);
     return os.str();
 }
 
@@ -73,7 +73,7 @@ TEST(SweepDeterminism, ResultsArriveInJobIdOrder)
     RunnerOptions opts;
     opts.workers = 4;
     Runner runner(opts);
-    std::vector<JobResult> results = runner.run(spec, &sink);
+    std::vector<JobResult> results = runner.run(spec.expand(), &sink);
     EXPECT_TRUE(ordered);
     EXPECT_EQ(expected, spec.matrixSize());
     for (std::size_t i = 0; i < results.size(); ++i)
@@ -89,8 +89,8 @@ TEST(SweepDeterminism, RepeatedSweepsAgreeRunForRun)
     oa.workers = 1;
     ob.workers = 3;
     Runner a(oa), b(ob);
-    std::vector<JobResult> ra = a.run(spec);
-    std::vector<JobResult> rb = b.run(spec);
+    std::vector<JobResult> ra = a.run(spec.expand());
+    std::vector<JobResult> rb = b.run(spec.expand());
     ASSERT_EQ(ra.size(), rb.size());
     for (std::size_t i = 0; i < ra.size(); ++i) {
         EXPECT_EQ(ra[i].status, rb[i].status);

@@ -2,7 +2,7 @@
  * @file
  * Runner behaviour tests: retries with backoff, failure containment
  * (one job exhausting its budget must not poison its siblings),
- * host-side timeout, cancellation, and bad-spec reporting.
+ * host-side timeout, cancellation, and invalid-job reporting.
  */
 
 #include <gtest/gtest.h>
@@ -49,7 +49,7 @@ TEST(Runner, TransientFailureIsRetried)
     Runner runner(opts);
 
     std::vector<JobResult> results =
-        runner.run(smallSpec({"histogramfs", "spinlockpool"}));
+        runner.run(smallSpec({"histogramfs", "spinlockpool"}).expand());
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].status, JobStatus::Ok);
     EXPECT_EQ(results[0].attempts, 3u);
@@ -72,7 +72,7 @@ TEST(Runner, ExhaustedRetriesFailWithoutPoisoningSiblings)
     Runner runner(opts);
 
     std::vector<JobResult> results = runner.run(
-        smallSpec({"histogramfs", "spinlockpool", "histogram"}));
+        smallSpec({"histogramfs", "spinlockpool", "histogram"}).expand());
     ASSERT_EQ(results.size(), 3u);
     EXPECT_EQ(results[0].status, JobStatus::Ok);
     EXPECT_EQ(results[1].status, JobStatus::Failed);
@@ -89,14 +89,16 @@ TEST(Runner, InvalidSpecReportsEveryJobFailed)
     SweepSpec spec = smallSpec();
     spec.base.run.threads = 0; // invalid per-cell config
 
+    // Each invalid job is reported Failed with its errors, unrun.
     unsigned delivered = 0;
     FunctionSink sink([&](const JobResult &r) {
         ++delivered;
         EXPECT_EQ(r.status, JobStatus::Failed);
+        EXPECT_EQ(r.attempts, 0u);
         EXPECT_NE(r.error.find("threads"), std::string::npos);
     });
     Runner runner(withWorkers(1));
-    std::vector<JobResult> results = runner.run(spec, &sink);
+    std::vector<JobResult> results = runner.run(spec.expand(), &sink);
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(delivered, 1u);
     EXPECT_EQ(runner.stats().failed, 1u);
@@ -115,7 +117,7 @@ TEST(Runner, HostTimeoutKillsRunawayJob)
     opts.jobTimeout = std::chrono::milliseconds(50);
     Runner runner(opts);
 
-    std::vector<JobResult> results = runner.run(spec);
+    std::vector<JobResult> results = runner.run(spec.expand());
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].status, JobStatus::TimedOut);
     EXPECT_EQ(results[0].attempts, 1u);
@@ -135,7 +137,7 @@ TEST(Runner, RequestStopCancelsRemainingJobs)
             runner.requestStop();
     });
 
-    std::vector<JobResult> results = runner.run(spec, &sink);
+    std::vector<JobResult> results = runner.run(spec.expand(), &sink);
     ASSERT_EQ(results.size(), 4u);
     EXPECT_EQ(results[0].status, JobStatus::Ok);
     for (std::size_t i = 1; i < results.size(); ++i)
@@ -149,7 +151,7 @@ TEST(Runner, StatsAndResultsCoverEveryJob)
     spec.seeds = {1, 2, 3};
     Runner runner(withWorkers(3));
 
-    std::vector<JobResult> results = runner.run(spec);
+    std::vector<JobResult> results = runner.run(spec.expand());
     ASSERT_EQ(results.size(), 6u);
     const SweepStats &stats = runner.stats();
     EXPECT_EQ(stats.total, 6u);

@@ -54,7 +54,7 @@ runnerCsv(const SweepSpec &spec)
     RunnerOptions opts;
     opts.workers = 1;
     Runner runner(opts);
-    runner.run(spec, &sink);
+    runner.run(spec.expand(), &sink);
     return os.str();
 }
 

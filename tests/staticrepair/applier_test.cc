@@ -59,7 +59,6 @@ splitPlan(const std::string &key, std::uint64_t bytes,
 TEST_P(ApplierTest, SemanticsPreservedAcrossTheCut)
 {
     PlanApplier applier(*machine, splitPlan("blob", 200, 100));
-    machine->setAllocHook(&applier);
 
     RunOutcome out = runAs([&](ThreadApi &api) {
         Addr a = api.mallocAt("blob", 200);
@@ -82,7 +81,6 @@ TEST_P(ApplierTest, SemanticsPreservedAcrossTheCut)
 TEST_P(ApplierTest, RedirectionActuallySeparatesTheParts)
 {
     PlanApplier applier(*machine, splitPlan("blob", 200, 100));
-    machine->setAllocHook(&applier);
 
     runAs([&](ThreadApi &api) {
         Addr a = api.mallocAt("blob", 200);
@@ -102,7 +100,6 @@ TEST_P(ApplierTest, RedirectionActuallySeparatesTheParts)
 TEST_P(ApplierTest, BulkOpsRoundTripThroughRedirection)
 {
     PlanApplier applier(*machine, splitPlan("blob", 200, 100));
-    machine->setAllocHook(&applier);
 
     RunOutcome out = runAs([&](ThreadApi &api) {
         Addr a = api.mallocAt("blob", 200);
@@ -121,7 +118,6 @@ TEST_P(ApplierTest, BulkOpsRoundTripThroughRedirection)
 TEST_P(ApplierTest, FreeRemovesSegments)
 {
     PlanApplier applier(*machine, splitPlan("blob", 200, 100));
-    machine->setAllocHook(&applier);
 
     runAs([&](ThreadApi &api) {
         Addr a = api.mallocAt("blob", 200);
@@ -134,7 +130,6 @@ TEST_P(ApplierTest, FreeRemovesSegments)
 TEST_P(ApplierTest, NonMatchingSizeDeclines)
 {
     PlanApplier applier(*machine, splitPlan("blob", 200, 100));
-    machine->setAllocHook(&applier);
 
     runAs([&](ThreadApi &api) {
         // Same site, different size: the plan is stale for this
@@ -160,7 +155,6 @@ TEST_P(ApplierTest, SpreadSeparatesArrayElements)
     site.arrayCount = 41;
     plan.sites.push_back(site);
     PlanApplier applier(*machine, plan);
-    machine->setAllocHook(&applier);
 
     runAs([&](ThreadApi &api) {
         Addr a = api.mallocAt("pool", 172);
